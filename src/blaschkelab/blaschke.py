@@ -2,9 +2,10 @@
 
 A product of order n is gamma * prod_k (z_k - z)/(1 - conj(z_k) z) with all
 zeros z_k strictly inside the disc and |gamma| = 1.  The zero multiset plus
-gamma is the stored representation; numerator and denominator coefficients
-are expanded on demand by incremental convolution.  Instances are immutable
-and all operations are pure.
+gamma is the only stored representation: values and derivatives are
+accumulated factor by factor over the zeros, vectorized over the points, and
+the polynomials handed to the root finder are built where they are needed.
+Instances are immutable and all operations are pure.
 
 Evaluation is defined on the whole plane minus the poles 1/conj(z_k); the
 self-map guarantees (|B| < 1 inside, |B| = 1 on the circle) hold on the
@@ -15,10 +16,8 @@ B(z) * conj(B(1/conj(z))) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from ._util import coerce_points, uncoerce
 from .errors import (
@@ -87,25 +86,15 @@ class FiniteBlaschkeProduct:
     def order(self) -> int:
         return len(self.zeros)
 
-    @cached_property
-    def numerator_coeffs(self) -> tuple:
-        """Ascending coefficients of P(z) = gamma * prod (z_k - z)."""
-        p = np.array([1.0 + 0j])
-        for z in self.zeros:
-            p = np.convolve(p, np.array([z, -1.0 + 0j]))
-        return tuple(self.gamma * p)
-
-    @cached_property
-    def denominator_coeffs(self) -> tuple:
-        """Ascending coefficients of Q(z) = prod (1 - conj(z_k) z)."""
-        q = np.array([1.0 + 0j])
-        for z in self.zeros:
-            q = np.convolve(q, np.array([1.0 + 0j, -np.conj(z)]))
-        return tuple(q)
-
     def _check_poles(self, zz: np.ndarray) -> None:
+        # Zeros satisfy |z_k| < 1 - ZERO_MARGIN, so on the closed disc
+        # |1 - conj(z_k) z| >= 1 - |z_k| > POLE_TOL: only points outside the
+        # disc can come near a pole 1/conj(z_k).
+        outside = zz[np.abs(zz) > 1.0]
+        if outside.size == 0:
+            return
         for z_k in self.zeros:
-            if np.any(np.abs(1.0 - np.conj(z_k) * zz) < POLE_TOL):
+            if np.any(np.abs(1.0 - np.conj(z_k) * outside) < POLE_TOL):
                 raise PoleProximityError(
                     f"evaluation point too close to the pole 1/conj({z_k})"
                 )
@@ -122,14 +111,22 @@ class FiniteBlaschkeProduct:
     __call__ = eval
 
     def derivative(self, z):
-        """Exact rational derivative (P'Q - PQ')/Q**2 at z."""
+        """B'(z) by the product rule, accumulated alongside the product.
+
+        Each factor b_k = (z_k - z)/(1 - conj(z_k) z) has derivative
+        -(1 - |z_k|^2)/(1 - conj(z_k) z)**2, so no step divides by z - z_k
+        and the value is exact at the zeros too.
+        """
         zz, scalar = coerce_points(z)
         self._check_poles(zz)
-        p = np.array(self.numerator_coeffs)
-        q = np.array(self.denominator_coeffs)
-        pv = npoly.polyval(zz, npoly.polyder(p)) * npoly.polyval(zz, q)
-        qv = npoly.polyval(zz, p) * npoly.polyval(zz, npoly.polyder(q)) if len(q) > 1 else 0.0
-        return uncoerce((pv - qv) / npoly.polyval(zz, q) ** 2, scalar)
+        val = np.full(zz.shape, self.gamma, dtype=complex)
+        out = np.zeros(zz.shape, dtype=complex)
+        for z_k in self.zeros:
+            den = 1.0 - np.conj(z_k) * zz
+            b = (z_k - zz) / den
+            out = out * b - val * (1.0 - abs(z_k) ** 2) / den ** 2
+            val = val * b
+        return uncoerce(out, scalar)
 
     def log_derivative(self, z):
         """B'/B at z via the zero-by-zero sum; z must avoid zeros and poles."""
@@ -231,11 +228,11 @@ class FiniteBlaschkeProduct:
         c = complex(c)
         if abs(c) >= 1.0:
             raise ValueError("fiber value must lie strictly inside the disc")
-        p = np.array(self.numerator_coeffs)
-        q = np.array(self.denominator_coeffs)
-        coeffs = p.copy()
-        coeffs[: len(q)] -= c * q
-        roots = find_roots(Polynomial(tuple(coeffs)))
+        # ascending coefficients of P(w) = gamma prod (z_k - w) and of
+        # Q(w) = prod (1 - conj(z_k) w)
+        p = self.gamma * (-1.0) ** self.order * np.poly(self.zeros)[::-1]
+        q = np.poly(np.conj(self.zeros))
+        roots = find_roots(Polynomial(tuple(p - c * q)))
         sols = roots.locations()
         if len(sols) != self.order:
             raise NonConvergenceError(
@@ -270,7 +267,5 @@ class FiniteBlaschkeProduct:
         if probe is None:
             raise NonConvergenceError("no admissible probe point for gamma recovery")
         target_val = automorphism_eval(outer, self.eval(automorphism_eval(inner, probe)))
-        base = 1.0 + 0j
-        for z_k in new_zeros:
-            base *= (z_k - probe) / (1.0 - np.conj(z_k) * probe)
+        base = FiniteBlaschkeProduct(1.0, new_zeros).eval(probe)
         return FiniteBlaschkeProduct(target_val / base, new_zeros)

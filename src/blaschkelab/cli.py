@@ -243,15 +243,7 @@ def render_product_svg(B: FiniteBlaschkeProduct) -> str:
                 f'<polyline points="{coords}" fill="none" stroke="#2e6fb0" '
                 f'stroke-width="0.01"/>'
             )
-    seen: list = []
-    for z in B.zeros:
-        for i, (u, m) in enumerate(seen):
-            if abs(z - u) <= 1e-12:
-                seen[i] = (u, m + 1)
-                break
-        else:
-            seen.append((z, 1))
-    for u, m in seen:
+    for u, m in B._distinct_zeros():
         parts.append(
             f'<circle cx="{u.real:.6f}" cy="{-u.imag:.6f}" r="0.025" fill="#1f6f43"/>'
         )
@@ -334,8 +326,14 @@ def _suite_converge(trials: int, rng, config: RunConfig):
         for mode in ("radial", "spiral"):
             recs = convergence_experiment(B, SequenceSpec(g0, mode, rate, 14), 0.9)
             devs = [r.sup_deviation for r in recs]
+            # the nested evaluation rounds to about eps/(1 - |a_k|), which grows
+            # as a_k nears the circle (sup over the grid reached 6.6x that on
+            # seeds 1000-1299); a deviation below 16x that floor is noise, so it
+            # need not be smaller than the one before
+            floors = [16.0 * np.finfo(float).eps / (1.0 - abs(r.a)) for r in recs]
             ok = devs[-1] < config.tol("converge_final") and all(
-                devs[i] > devs[i + 1] for i in range(len(devs) - 5, len(devs) - 1)
+                devs[i] > devs[i + 1] or devs[i + 1] <= floors[i + 1]
+                for i in range(len(devs) - 5, len(devs) - 1)
             )
             rot2 = rotation_constant(B, g0)
             ok = ok and abs(recs[-1].rotation_constant - rot2) <= config.tol("rotation_match")

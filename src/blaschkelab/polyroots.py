@@ -314,16 +314,20 @@ def _cluster_roots(points: list, monic_ascending: np.ndarray, radius: float) -> 
     for tol in ladder:
         groups = _single_linkage(pts, tol)
         clusters = []
-        for g in groups:
-            centre = sum(pts[i] for i in g) / len(g)
-            if len(g) > 1:
-                centre = _refine_multiple(monic_ascending, centre, len(g))
-            clusters.append((complex(centre), len(g)))
-        rebuilt = _monic_from_clusters(clusters)
-        if len(rebuilt) == len(monic_ascending) and np.max(
-            np.abs(rebuilt - monic_ascending)
-        ) <= RECONSTRUCT_REL * scale:
-            return clusters
+        # a wrong multiplicity can overflow the derivative coefficients and
+        # send the candidate centre to inf or nan; such a candidate fails the
+        # rebuild test below and is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            for g in groups:
+                centre = sum(pts[i] for i in g) / len(g)
+                if len(g) > 1:
+                    centre = _refine_multiple(monic_ascending, centre, len(g))
+                clusters.append((complex(centre), len(g)))
+            rebuilt = _monic_from_clusters(clusters)
+            if len(rebuilt) == len(monic_ascending) and np.max(
+                np.abs(rebuilt - monic_ascending)
+            ) <= RECONSTRUCT_REL * scale:
+                return clusters
     return [(p, 1) for p in pts]
 
 

@@ -95,6 +95,28 @@ class TestDerivative:
             fd += (B.eval(z + 1j * h) - B.eval(z - 1j * h)) / (2j * h)
             assert abs(B.derivative(z) - fd / 2) <= 1e-6 * (1 + abs(fd))
 
+    @pytest.mark.parametrize("order", [64, 128])
+    def test_product_rule_at_high_order(self, order):
+        rng = np.random.default_rng(order)
+        B = random_product(rng, order, 0.9)
+        a = np.array(B.zeros)[:, None]
+        z = np.array([rand_disc(rng, 0.99) for _ in range(200)])
+        z = z[np.min(np.abs(z - a), axis=0) > 1e-3]
+        # B' = B * sum_k t_k with t_k = (1 - |a_k|^2)/((1 - conj(a_k) z)(z - a_k))
+        b = B.gamma * np.prod((a - z) / (1.0 - np.conj(a) * z), axis=0)
+        t = (1.0 - np.abs(a) ** 2) / ((1.0 - np.conj(a) * z) * (z - a))
+        err = np.abs(B.derivative(z) - b * np.sum(t, axis=0))
+        assert np.all(err <= 1e-12 * np.abs(b) * np.sum(np.abs(t), axis=0))
+
+        # at a simple zero a_k only the factor b_k is differentiated, and
+        # b_k'(a_k) = -1/(1 - |a_k|^2)
+        k = 0
+        a_k = B.zeros[k]
+        others = np.delete(a[:, 0], k)
+        expected = (B.gamma * np.prod((others - a_k) / (1.0 - np.conj(others) * a_k))
+                    * (-1.0 / (1.0 - abs(a_k) ** 2)))
+        assert abs(B.derivative(a_k) - expected) <= 1e-12 * abs(expected)
+
 
 class TestLogDerivative:
     def test_single_zero(self):

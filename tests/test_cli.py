@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -261,6 +262,31 @@ class TestVerify:
         assert summary["pass"] is False
         assert summary["failure"]["reason"] == "convergence"
         assert "zeros" in summary["failure"]
+
+    @pytest.mark.parametrize("seed", [1009, 1014])
+    def test_converge_tail_at_rounding_floor_passes(self, seed):
+        # the last deviations level off near eps/(1 - |a_k|) on these seeds
+        rc, out = run(["verify", "--suite", "converge", "--seed", str(seed)])
+        assert rc == EXIT_OK
+        assert json.loads(out)["pass"] is True
+
+    def test_converge_plateau_above_floor_fails(self, monkeypatch):
+        # deviations that stop shrinking at 1e-8, far below converge_final but
+        # above the rounding floor of the earlier terms, are not convergence
+        import blaschkelab.cli as cli
+
+        real = cli.convergence_experiment
+
+        def stalled(*args, **kwargs):
+            return [
+                dataclasses.replace(r, sup_deviation=max(r.sup_deviation, 1e-8))
+                for r in real(*args, **kwargs)
+            ]
+
+        monkeypatch.setattr(cli, "convergence_experiment", stalled)
+        rc, out = run(["verify", "--suite", "converge", "--trials", "1", "--seed", "7"])
+        assert rc == 1
+        assert json.loads(out)["failure"]["reason"] == "convergence"
 
     def test_seed_changes_nothing_about_passing(self):
         rc1, out1 = run(["verify", "--suite", "hull", "--trials", "5", "--seed", "1"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -113,6 +115,17 @@ def test_reconstruction_degree_up_to_16():
 def test_deterministic():
     p = Polynomial(tuple(expand([0.1 + 0.2j, -0.4, 0.9j, 0.3 - 0.3j])))
     assert find_roots(p) == find_roots(p)
+
+
+def test_rejected_multiplicity_candidates_emit_no_warning():
+    # 172 simple roots on one ring: the coarse clustering candidates merge
+    # them, and refining such a candidate overflows the 171st derivative
+    p = Polynomial((-1e-3,) + (0,) * 171 + (1,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rs = find_roots(p)
+    assert [m for _, m in rs.roots] == [1] * 172
+    assert max(abs(abs(r) - 1e-3 ** (1 / 172)) for r in rs.locations()) <= 1e-12
 
 
 def test_degree_zero_rejected():
