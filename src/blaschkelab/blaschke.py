@@ -4,7 +4,8 @@ A product of order n is gamma * prod_k (z_k - z)/(1 - conj(z_k) z) with all
 zeros z_k strictly inside the disc and |gamma| = 1.  The zero multiset plus
 gamma is the only stored representation: values and derivatives are
 accumulated factor by factor over the zeros, vectorized over the points, and
-the polynomials handed to the root finder are built where they are needed.
+critical points and fibers come from Aberth iteration on the secular sum
+B'/B and on B - c, at O(order) per point, without expanding any polynomial.
 Instances are immutable and all operations are pure.
 
 Evaluation is defined on the whole plane minus the poles 1/conj(z_k); the
@@ -27,7 +28,6 @@ from .errors import (
     ZeroProximityError,
 )
 from .moebius import DiscAutomorphism, automorphism_eval, automorphism_inverse
-from .polyroots import Polynomial, find_roots
 
 ZERO_MARGIN = 1e-12
 POLE_TOL = 1e-14
@@ -38,6 +38,166 @@ FIBER_EVAL_TOL = 1e-8
 # gamma recovery probes for conjugated products; the second is used when the
 # first sits on a zero of the target
 GAMMA_PROBES = (0j, 0.37 + 0.11j)
+
+
+_EPS = np.finfo(float).eps
+# sweeps after which an Aberth root that has not met its stopping test is a failure
+_MAX_SWEEPS = 200
+
+
+def _aberth(z, newton, mirrored: bool) -> np.ndarray:
+    """Simultaneous Aberth iteration for all roots of f from the starts z.
+
+    newton(z) returns (f/f', |f|, rounding bound of f) at the points z.  A root
+    stops, after taking that sweep's correction, once |f| is within its
+    rounding bound, and stays in the coupling.
+    With `mirrored` the roots of f are the iterates together with their
+    reflections 1/conj(z): those enter the coupling without being iterated,
+    and an iterate that leaves the disc is replaced by its reflection.
+    """
+    z = np.array(z, dtype=complex)
+    live = np.arange(z.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_SWEEPS):
+            zl = z[live]
+            step, size, noise = newton(zl)
+            done = (size <= noise) & np.isfinite(noise)
+            diff = zl[:, None] - z
+            diff[np.arange(live.size), live] = np.inf
+            pull = np.sum(1.0 / diff, axis=1)
+            if mirrored:
+                w = np.conj(z)
+                pull = pull + np.sum(w / (w * zl[:, None] - 1.0), axis=1)
+            corr = step / (1.0 - step * pull)
+            # a root that stops takes its last correction too; a non-finite
+            # correction (an iterate on a pole of f) is not taken, so such a
+            # root ends at the sweep cap
+            z[live] = np.where(np.isfinite(corr), zl - corr, zl)
+            if mirrored:
+                out = np.abs(z) > 1.0
+                z[out] = 1.0 / np.conj(z[out])
+            live = live[~done]
+            if live.size == 0:
+                return z
+    raise NonConvergenceError(
+        f"{live.size} of {z.size} roots unresolved after {_MAX_SWEEPS} Aberth sweeps"
+    )
+
+
+def _secular(z, u, m):
+    """(S, S', rounding bound of S, (T, P, R)) at the points z.
+
+    S = B'/B = sum_k T_k over the distinct zeros u_k of multiplicity m_k, with
+    T_k = m_k (1-|u_k|^2) / ((1-conj(u_k) z)(z-u_k)) and
+    d/dz log T_k = P_k - R_k, P_k = conj(u_k)/(1-conj(u_k) z), R_k = 1/(z-u_k);
+    T, P and R are (points x zeros) arrays.  The bound is 4 eps times the
+    size of the summands plus the rounding of z itself, |z| sum_k |T_k'|.
+    """
+    # in place where possible: at order 128 each (points x zeros) array is
+    # a quarter megabyte
+    q = np.subtract(1.0, np.conj(u) * z[:, None])
+    d = np.subtract(z[:, None], u)
+    t = np.divide(m * (1.0 - np.abs(u) ** 2), q * d)
+    p = np.divide(np.conj(u), q, out=q)
+    r = np.divide(1.0, d, out=d)
+    dt = p - r
+    dt *= t
+    noise = 4.0 * _EPS * (np.abs(t).sum(axis=1) + np.abs(z) * np.abs(dt).sum(axis=1))
+    return t.sum(axis=1), dt.sum(axis=1), noise, (t, p, r)
+
+
+def _critical_newton(z, u, m):
+    """(N/N', |S|, rounding bound of S) at the points z.
+
+    N = S prod_k (1 - conj(u_k) z)(z - u_k) is the polynomial whose roots are
+    the critical points that S accounts for, so N'/N = S'/S - sum_k d log T_k.
+    """
+    s, ds, noise, (_, p, r) = _secular(z, u, m)
+    return s / (ds - s * (p - r).sum(axis=1)), np.abs(s), noise
+
+
+def _next_to(points: np.ndarray) -> np.ndarray:
+    """Starts 1e-3 off the given points, at distinct angles, so that
+    coincident or nearly coincident points give distinct starts."""
+    return points + 1e-3 * np.exp(2j * np.pi * np.arange(len(points)) / len(points))
+
+
+def _critical_starts(u: np.ndarray) -> np.ndarray:
+    """Starts for the g - 1 interior critical points: next to the distinct
+    zeros, all but the one nearest the origin."""
+    return _next_to(u[sorted(range(len(u)), key=lambda k: abs(u[k]))[1:]])
+
+
+def _fiber_starts(a: np.ndarray, c: complex) -> np.ndarray:
+    """Starts for the fiber of c.
+
+    The fiber point that leaves the zero a_k as the target grows from 0 to c
+    stays near it while |a_k| exceeds the radius r at which the circle mean
+    of log|B|, sum_k log max(r, |a_k|) (Jensen), reaches log|c|; the others
+    start evenly spread on that circle.
+    """
+    a = a[sorted(range(len(a)), key=lambda k: abs(a[k]))]
+    mods = np.abs(a)
+    logs = np.log(np.where(mods > 0.0, mods, 1e-300))
+    above = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
+    # the circle mean at r = |a_j| (sorted) is j log|a_j| + sum_{i >= j} log|a_i|
+    k = int(np.sum(np.arange(len(a)) * logs + above[:-1] < np.log(abs(c))))
+    out = _next_to(a)
+    if k:
+        r = np.exp((np.log(abs(c)) - above[k]) / k)
+        out[:k] = r * np.exp(1j * (2.0 * np.pi * np.arange(k) / k + 0.4))
+    return out
+
+
+def _rounding_groups(z, noise, d1) -> list:
+    """Index lists of the converged roots z of f that rounding cannot tell
+    apart, and singletons for the others; noise and d1 = f' are given at z.
+
+    A root z_i is uncertain by about noise_i/|f'(z_i)|, the first-order
+    radius within which |f| stays below its rounding bound.  Near an m-fold
+    root q, f ~ c (z - q)^m, the parts that rounding splits it into stop
+    where |f| meets that bound, so each lies within m noise/|f'| of q and its
+    neighbours on that ring within 2 pi noise/|f'|.  Roots closer than 8
+    times the sum of their radii are grouped: two simple roots that close
+    have |f| <= 4 noise at their midpoint, as near a double root.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = noise / np.abs(d1)
+    radius = np.where(np.isfinite(radius), radius, 0.0)
+    links = np.abs(z[:, None] - z) <= 8.0 * (radius[:, None] + radius)
+    label = list(range(len(z)))
+    for i, j in zip(*np.nonzero(np.triu(links, 1))):
+        if label[i] != label[j]:
+            old = label[j]
+            label = [label[i] if x == old else x for x in label]
+    groups: dict = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    return list(groups.values())
+
+
+def _merge_critical(z, u, m) -> list:
+    """(point, multiplicity) for the converged interior iterates z.
+
+    The iterates of one group (`_rounding_groups`) are one multiple point at
+    their centroid, which rounding perturbs far less than the members.  A
+    point whose error bound (noise/|S'| for a simple one, the spread of a
+    group) reaches the origin is reported as exactly 0, and all such points
+    as one.
+    """
+    _, ds, noise, _ = _secular(z, u, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = noise / np.abs(ds)
+    out: dict = {}
+    for idx in _rounding_groups(z, noise, ds):
+        if len(idx) == 1:
+            loc, bound = complex(z[idx[0]]), err[idx[0]]
+        else:
+            loc = complex(np.mean(z[idx]))
+            bound = max(abs(z[i] - loc) for i in idx)
+        loc = 0j if abs(loc) <= bound else loc
+        out[loc] = out.get(loc, 0) + len(idx)
+    return list(out.items())
 
 
 @dataclass(frozen=True)
@@ -119,14 +279,7 @@ class FiniteBlaschkeProduct:
         """
         zz, scalar = coerce_points(z)
         self._check_poles(zz)
-        val = np.full(zz.shape, self.gamma, dtype=complex)
-        out = np.zeros(zz.shape, dtype=complex)
-        for z_k in self.zeros:
-            den = 1.0 - np.conj(z_k) * zz
-            b = (z_k - zz) / den
-            out = out * b - val * (1.0 - abs(z_k) ** 2) / den ** 2
-            val = val * b
-        return uncoerce(out, scalar)
+        return uncoerce(self._value_and_derivative(zz)[1], scalar)
 
     def log_derivative(self, z):
         """B'/B at z via the zero-by-zero sum; z must avoid zeros and poles."""
@@ -165,52 +318,37 @@ class FiniteBlaschkeProduct:
                 groups.append((z, 1))
         return groups
 
+    def _secular_zeros(self):
+        """The distinct zeros and their multiplicities, as `_secular` takes them."""
+        groups = self._distinct_zeros()
+        return np.array([g[0] for g in groups]), np.array([float(g[1]) for g in groups])
+
     def critical_points(self) -> CriticalSet:
         """All zeros of B', split into interior and exterior points.
 
         Repeated zeros of B contribute critical points symbolically: a zero
         of multiplicity m is a critical point of multiplicity m - 1 (and so
-        is its reflection).  The remaining critical points are the roots of
-        the reduced equation sum_k m_k (1-|u_k|^2) / ((1-conj(u_k) z)(z-u_k)) = 0
-        cleared of denominators, which keeps the root finding well
-        conditioned even for the deliberately multiple configurations.  The
-        combined root multiset coincides with that of the raw numerator
-        P'Q - PQ'.
+        is its reflection).  The remaining ones are the zeros of the secular
+        sum S(z) = B'/B = sum_k m_k (1-|u_k|^2) / ((1-conj(u_k) z)(z-u_k)) over
+        the g distinct zeros u_k: g - 1 inside the disc, found by Aberth
+        iteration started next to the zeros, and their reflections outside,
+        which enter the coupling without being iterated.  Iterates that
+        rounding cannot tell apart from a multiple root are merged, and a
+        point whose error bound reaches the origin is exactly 0.
         """
-        groups = self._distinct_zeros()
-        interior: list = []
-        exterior: list = []
-        for u, m in groups:
-            if m >= 2:
-                interior.append((u, m - 1))
-                if abs(u) > 0:
-                    exterior.append((1.0 / np.conj(u), m - 1))
-
-        if len(groups) >= 2:
-            factors = []
-            for u, _ in groups:
-                factors.append(np.convolve(np.array([-u, 1.0 + 0j]),
-                                           np.array([1.0 + 0j, -np.conj(u)])))
-            reduced = np.zeros(2 * len(groups) - 1, dtype=complex)
-            for k, (u, m) in enumerate(groups):
-                term = np.array([m * (1.0 - abs(u) ** 2) + 0j])
-                for j, f in enumerate(factors):
-                    if j != k:
-                        term = np.convolve(term, f)
-                reduced[: len(term)] += term
-            roots = find_roots(Polynomial(tuple(reduced)))
-            for loc, mult in roots.roots:
-                r = abs(loc)
-                if abs(r - 1.0) < CIRCLE_BAND:
+        u, m = self._secular_zeros()
+        interior: list = [(complex(x), int(k) - 1) for x, k in zip(u, m) if k >= 2]
+        if len(u) >= 2:
+            found = _aberth(_critical_starts(u), lambda z: _critical_newton(z, u, m), True)
+            for loc, mult in _merge_critical(found, u, m):
+                if abs(abs(loc) - 1.0) < CIRCLE_BAND:
                     raise CircleStraddleError(
                         f"critical point {loc} straddles the unit circle"
                     )
-                if r < 1.0:
-                    interior.append((loc, mult))
-                else:
-                    exterior.append((loc, mult))
+                interior.append((loc, mult))
 
         interior.sort(key=lambda cm: (cm[0].real, cm[0].imag))
+        exterior = [(1.0 / p.conjugate(), m) for p, m in interior if p != 0]
         exterior.sort(key=lambda cm: (cm[0].real, cm[0].imag))
         count = sum(m for _, m in interior)
         if count != self.order - 1:
@@ -219,31 +357,85 @@ class FiniteBlaschkeProduct:
             )
         return CriticalSet(tuple(interior), tuple(exterior))
 
+    def _value_and_derivative(self, zz: np.ndarray):
+        """(B, B') at the points zz by the product rule, in one pass."""
+        val = np.full(zz.shape, self.gamma, dtype=complex)
+        out = np.zeros(zz.shape, dtype=complex)
+        for z_k in self.zeros:
+            den = 1.0 - z_k.conjugate() * zz
+            b = (z_k - zz) / den
+            out = out * b - val * (1.0 - abs(z_k) ** 2) / den ** 2
+            val = val * b
+        return val, out
+
     def fiber_solve(self, c) -> list:
         """All order-many solutions of B(w) = c inside the disc (|c| < 1).
 
-        Solutions are the roots of P(w) - c Q(w); multiplicities are expanded
-        in the returned list, sorted by (re, im).
+        Solutions are the roots of Q (B - c), Q(w) = prod_k (1 - conj(z_k) w),
+        found by Aberth iteration on B - c with B and B' from the product
+        rule; for c = 0 they are the zeros.  Multiplicities are expanded in
+        the returned list, sorted by (re, im).
         """
         c = complex(c)
         if abs(c) >= 1.0:
             raise ValueError("fiber value must lie strictly inside the disc")
-        # ascending coefficients of P(w) = gamma prod (z_k - w) and of
-        # Q(w) = prod (1 - conj(z_k) w)
-        p = self.gamma * (-1.0) ** self.order * np.poly(self.zeros)[::-1]
-        q = np.poly(np.conj(self.zeros))
-        roots = find_roots(Polynomial(tuple(p - c * q)))
-        sols = roots.locations()
-        if len(sols) != self.order:
-            raise NonConvergenceError(
-                f"fiber of {c} has {len(sols)} roots, expected {self.order}"
-            )
+        if c == 0:
+            return sorted(self.zeros, key=lambda w: (w.real, w.imag))
+        a = np.array(self.zeros)
+        ac = a.conj()
+
+        def newton(w):
+            val, der, noise = self._fiber_terms(w, c)
+            f = val - c
+            qlog = np.sum(ac / (ac * w[:, None] - 1.0), axis=1)
+            return f / (der + f * qlog), np.abs(f), noise
+
+        sols = self._merge_fiber(_aberth(_fiber_starts(a, c), newton, False), c)
         for w in sols:
             if abs(w) >= 1.0:
                 raise NonConvergenceError(f"fiber point {w} escaped the open disc")
-            if abs(self.eval(w) - c) > FIBER_EVAL_TOL * (1.0 + abs(c)):
-                raise NonConvergenceError(f"fiber point {w} fails re-evaluation")
+        defect = np.abs(self.eval(np.array(sols)) - c)
+        if np.max(defect) > FIBER_EVAL_TOL * (1.0 + abs(c)):
+            w = sols[int(np.argmax(defect))]
+            raise NonConvergenceError(f"fiber point {w} fails re-evaluation")
         return sorted(sols, key=lambda w: (w.real, w.imag))
+
+    def _fiber_terms(self, w: np.ndarray, c: complex):
+        """(B, B', rounding bound of B - c) at the points w."""
+        val, der = self._value_and_derivative(w)
+        return val, der, 2.0 * _EPS * (self.order * np.abs(val) + abs(c) + np.abs(w) * np.abs(der))
+
+    def _merge_fiber(self, w: np.ndarray, c: complex) -> list:
+        """The converged fiber iterates w, with multiple roots merged.
+
+        The iterates of one group (`_rounding_groups`) are one multiple root
+        on a critical point p: the centroid, refined by Newton's method on S
+        for a double root, where p is a simple critical point.  They move onto
+        p only where each lies within the reach sqrt(2 tol (1+|c|)/|B''(p)|)
+        by which the re-evaluation tolerance lets a double root split.
+        """
+        _, der, noise = self._fiber_terms(w, c)
+        out = [complex(x) for x in w]
+        for idx in _rounding_groups(w, noise, der):
+            if len(idx) < 2:
+                continue
+            u, m = self._secular_zeros()
+            loc = complex(np.mean(w[idx]))
+            if len(idx) == 2:
+                crit = _aberth(np.array([loc]), lambda z: _critical_newton(z, u, m), False)
+                (loc, _), = _merge_critical(crit, u, m)
+            elif abs(loc) <= max(abs(w[i] - loc) for i in idx):
+                loc = 0j
+            p = np.array([loc])
+            val, der_p = self._value_and_derivative(p)
+            s, ds, _, _ = _secular(p, u, m)
+            # B'' = B' S + B S'
+            with np.errstate(divide="ignore"):
+                allowed = np.sqrt(2.0 * FIBER_EVAL_TOL * (1.0 + abs(c)) / abs(der_p[0] * s[0] + val[0] * ds[0]))
+            if all(abs(w[i] - loc) <= allowed for i in idx):
+                for i in idx:
+                    out[i] = loc
+        return out
 
     def conjugate_by(
         self, inner: DiscAutomorphism, outer: DiscAutomorphism

@@ -19,14 +19,14 @@ from blaschkelab.cli import (
 
 GOLDEN_SEED42_ORDER5 = """\
 re,im,multiplicity,region,in_hull
--0.31741379710750878,0.01847925855305034,1,interior,true
--0.10247373311692615,0.5585837707779524,1,interior,true
-0.46741653509854669,0.13030357633292189,1,interior,true
-0.53454531318607645,0.40619113626712716,1,interior,true
--3.13981969189203,0.18279463723745956,1,exterior,n/a
--0.31773156155865334,1.7319530415476208,1,exterior,n/a
-1.1859547733232236,0.90118518496839972,1,exterior,n/a
-1.9851440393619586,0.55340654093529096,1,exterior,n/a
+-0.31741379710750872,0.018479258553050364,1,interior,true
+-0.10247373311692663,0.55858377077795252,1,interior,true
+0.46741653509854642,0.13030357633292239,1,interior,true
+0.5345453131860769,0.40619113626712716,1,interior,true
+-3.1398196918920318,0.18279463723745998,1,exterior,n/a
+-0.31773156155865434,1.7319530415476212,1,exterior,n/a
+1.1859547733232247,0.90118518496839606,1,exterior,n/a
+1.985144039361959,0.55340654093529373,1,exterior,n/a
 """
 
 
