@@ -3,10 +3,12 @@
 A product of order n is gamma * prod_k (z_k - z)/(1 - conj(z_k) z) with all
 zeros z_k strictly inside the disc and |gamma| = 1.  The zero multiset plus
 gamma is the only stored representation: values and derivatives are
-accumulated factor by factor over the zeros, vectorized over the points, and
-critical points and fibers come from Aberth iteration on the secular sum
-B'/B and on B - c, at O(order) per point, without expanding any polynomial.
-Instances are immutable and all operations are pure.
+accumulated factor by factor over the zeros, vectorized over the points.
+Critical points and fibers are found by `polyroots` from the distinct zeros
+and this product-rule pass, without expanding any polynomial; this module
+splits off the symbolic critical points of repeated zeros and checks what
+the root finder returns.  Instances are immutable and all operations are
+pure.
 
 Evaluation is defined on the whole plane minus the poles 1/conj(z_k); the
 self-map guarantees (|B| < 1 inside, |B| = 1 on the circle) hold on the
@@ -28,6 +30,7 @@ from .errors import (
     ZeroProximityError,
 )
 from .moebius import DiscAutomorphism, automorphism_eval, automorphism_inverse
+from .polyroots import critical_roots, fiber_roots
 
 ZERO_MARGIN = 1e-12
 POLE_TOL = 1e-14
@@ -38,166 +41,6 @@ FIBER_EVAL_TOL = 1e-8
 # gamma recovery probes for conjugated products; the second is used when the
 # first sits on a zero of the target
 GAMMA_PROBES = (0j, 0.37 + 0.11j)
-
-
-_EPS = np.finfo(float).eps
-# sweeps after which an Aberth root that has not met its stopping test is a failure
-_MAX_SWEEPS = 200
-
-
-def _aberth(z, newton, mirrored: bool) -> np.ndarray:
-    """Simultaneous Aberth iteration for all roots of f from the starts z.
-
-    newton(z) returns (f/f', |f|, rounding bound of f) at the points z.  A root
-    stops, after taking that sweep's correction, once |f| is within its
-    rounding bound, and stays in the coupling.
-    With `mirrored` the roots of f are the iterates together with their
-    reflections 1/conj(z): those enter the coupling without being iterated,
-    and an iterate that leaves the disc is replaced by its reflection.
-    """
-    z = np.array(z, dtype=complex)
-    live = np.arange(z.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_SWEEPS):
-            zl = z[live]
-            step, size, noise = newton(zl)
-            done = (size <= noise) & np.isfinite(noise)
-            diff = zl[:, None] - z
-            diff[np.arange(live.size), live] = np.inf
-            pull = np.sum(1.0 / diff, axis=1)
-            if mirrored:
-                w = np.conj(z)
-                pull = pull + np.sum(w / (w * zl[:, None] - 1.0), axis=1)
-            corr = step / (1.0 - step * pull)
-            # a root that stops takes its last correction too; a non-finite
-            # correction (an iterate on a pole of f) is not taken, so such a
-            # root ends at the sweep cap
-            z[live] = np.where(np.isfinite(corr), zl - corr, zl)
-            if mirrored:
-                out = np.abs(z) > 1.0
-                z[out] = 1.0 / np.conj(z[out])
-            live = live[~done]
-            if live.size == 0:
-                return z
-    raise NonConvergenceError(
-        f"{live.size} of {z.size} roots unresolved after {_MAX_SWEEPS} Aberth sweeps"
-    )
-
-
-def _secular(z, u, m):
-    """(S, S', rounding bound of S, (T, P, R)) at the points z.
-
-    S = B'/B = sum_k T_k over the distinct zeros u_k of multiplicity m_k, with
-    T_k = m_k (1-|u_k|^2) / ((1-conj(u_k) z)(z-u_k)) and
-    d/dz log T_k = P_k - R_k, P_k = conj(u_k)/(1-conj(u_k) z), R_k = 1/(z-u_k);
-    T, P and R are (points x zeros) arrays.  The bound is 4 eps times the
-    size of the summands plus the rounding of z itself, |z| sum_k |T_k'|.
-    """
-    # in place where possible: at order 128 each (points x zeros) array is
-    # a quarter megabyte
-    q = np.subtract(1.0, np.conj(u) * z[:, None])
-    d = np.subtract(z[:, None], u)
-    t = np.divide(m * (1.0 - np.abs(u) ** 2), q * d)
-    p = np.divide(np.conj(u), q, out=q)
-    r = np.divide(1.0, d, out=d)
-    dt = p - r
-    dt *= t
-    noise = 4.0 * _EPS * (np.abs(t).sum(axis=1) + np.abs(z) * np.abs(dt).sum(axis=1))
-    return t.sum(axis=1), dt.sum(axis=1), noise, (t, p, r)
-
-
-def _critical_newton(z, u, m):
-    """(N/N', |S|, rounding bound of S) at the points z.
-
-    N = S prod_k (1 - conj(u_k) z)(z - u_k) is the polynomial whose roots are
-    the critical points that S accounts for, so N'/N = S'/S - sum_k d log T_k.
-    """
-    s, ds, noise, (_, p, r) = _secular(z, u, m)
-    return s / (ds - s * (p - r).sum(axis=1)), np.abs(s), noise
-
-
-def _next_to(points: np.ndarray) -> np.ndarray:
-    """Starts 1e-3 off the given points, at distinct angles, so that
-    coincident or nearly coincident points give distinct starts."""
-    return points + 1e-3 * np.exp(2j * np.pi * np.arange(len(points)) / len(points))
-
-
-def _critical_starts(u: np.ndarray) -> np.ndarray:
-    """Starts for the g - 1 interior critical points: next to the distinct
-    zeros, all but the one nearest the origin."""
-    return _next_to(u[sorted(range(len(u)), key=lambda k: abs(u[k]))[1:]])
-
-
-def _fiber_starts(a: np.ndarray, c: complex) -> np.ndarray:
-    """Starts for the fiber of c.
-
-    The fiber point that leaves the zero a_k as the target grows from 0 to c
-    stays near it while |a_k| exceeds the radius r at which the circle mean
-    of log|B|, sum_k log max(r, |a_k|) (Jensen), reaches log|c|; the others
-    start evenly spread on that circle.
-    """
-    a = a[sorted(range(len(a)), key=lambda k: abs(a[k]))]
-    mods = np.abs(a)
-    logs = np.log(np.where(mods > 0.0, mods, 1e-300))
-    above = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
-    # the circle mean at r = |a_j| (sorted) is j log|a_j| + sum_{i >= j} log|a_i|
-    k = int(np.sum(np.arange(len(a)) * logs + above[:-1] < np.log(abs(c))))
-    out = _next_to(a)
-    if k:
-        r = np.exp((np.log(abs(c)) - above[k]) / k)
-        out[:k] = r * np.exp(1j * (2.0 * np.pi * np.arange(k) / k + 0.4))
-    return out
-
-
-def _rounding_groups(z, noise, d1) -> list:
-    """Index lists of the converged roots z of f that rounding cannot tell
-    apart, and singletons for the others; noise and d1 = f' are given at z.
-
-    A root z_i is uncertain by about noise_i/|f'(z_i)|, the first-order
-    radius within which |f| stays below its rounding bound.  Near an m-fold
-    root q, f ~ c (z - q)^m, the parts that rounding splits it into stop
-    where |f| meets that bound, so each lies within m noise/|f'| of q and its
-    neighbours on that ring within 2 pi noise/|f'|.  Roots closer than 8
-    times the sum of their radii are grouped: two simple roots that close
-    have |f| <= 4 noise at their midpoint, as near a double root.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = noise / np.abs(d1)
-    radius = np.where(np.isfinite(radius), radius, 0.0)
-    links = np.abs(z[:, None] - z) <= 8.0 * (radius[:, None] + radius)
-    label = list(range(len(z)))
-    for i, j in zip(*np.nonzero(np.triu(links, 1))):
-        if label[i] != label[j]:
-            old = label[j]
-            label = [label[i] if x == old else x for x in label]
-    groups: dict = {}
-    for i, x in enumerate(label):
-        groups.setdefault(x, []).append(i)
-    return list(groups.values())
-
-
-def _merge_critical(z, u, m) -> list:
-    """(point, multiplicity) for the converged interior iterates z.
-
-    The iterates of one group (`_rounding_groups`) are one multiple point at
-    their centroid, which rounding perturbs far less than the members.  A
-    point whose error bound (noise/|S'| for a simple one, the spread of a
-    group) reaches the origin is reported as exactly 0, and all such points
-    as one.
-    """
-    _, ds, noise, _ = _secular(z, u, m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = noise / np.abs(ds)
-    out: dict = {}
-    for idx in _rounding_groups(z, noise, ds):
-        if len(idx) == 1:
-            loc, bound = complex(z[idx[0]]), err[idx[0]]
-        else:
-            loc = complex(np.mean(z[idx]))
-            bound = max(abs(z[i] - loc) for i in idx)
-        loc = 0j if abs(loc) <= bound else loc
-        out[loc] = out.get(loc, 0) + len(idx)
-    return list(out.items())
 
 
 @dataclass(frozen=True)
@@ -226,7 +69,7 @@ class FiniteBlaschkeProduct:
         if not zs:
             raise ValueError("a finite Blaschke product needs at least one zero")
         for z in zs:
-            if abs(z) >= 1.0 - ZERO_MARGIN:
+            if not abs(z) < 1.0 - ZERO_MARGIN:
                 raise ValueError(f"zero {z} is not strictly inside the disc")
         g = complex(self.gamma)
         mod = abs(g)
@@ -306,22 +149,20 @@ class FiniteBlaschkeProduct:
             out = out + (1.0 - abs(z_k) ** 2) / np.abs(w - z_k) ** 2
         return float(out) if scalar else out
 
-    def _distinct_zeros(self) -> list:
-        """Group the zero multiset into (representative, multiplicity) pairs."""
-        groups: list = []
-        for z in self.zeros:
-            for i, (u, m) in enumerate(groups):
-                if abs(z - u) <= DISTINCT_ZERO_TOL:
-                    groups[i] = (u, m + 1)
-                    break
-            else:
-                groups.append((z, 1))
-        return groups
+    def _distinct_zeros(self):
+        """The distinct zeros u and their multiplicities m, as arrays (m in
+        floats, as the secular sum takes them).
 
-    def _secular_zeros(self):
-        """The distinct zeros and their multiplicities, as `_secular` takes them."""
-        groups = self._distinct_zeros()
-        return np.array([g[0] for g in groups]), np.array([float(g[1]) for g in groups])
+        Each zero joins the group of the first zero within DISTINCT_ZERO_TOL
+        of it, and a chain of such zeros joins the group at its head, so the
+        multiplicities always sum to the order.
+        """
+        a = np.array(self.zeros)
+        first = (np.abs(a[:, None] - a) <= DISTINCT_ZERO_TOL).argmax(axis=1)
+        while (first[first] != first).any():
+            first = first[first]
+        head = first == np.arange(a.size)
+        return a[head], np.bincount(first, minlength=a.size)[head].astype(float)
 
     def critical_points(self) -> CriticalSet:
         """All zeros of B', split into interior and exterior points.
@@ -336,11 +177,10 @@ class FiniteBlaschkeProduct:
         rounding cannot tell apart from a multiple root are merged, and a
         point whose error bound reaches the origin is exactly 0.
         """
-        u, m = self._secular_zeros()
+        u, m = self._distinct_zeros()
         interior: list = [(complex(x), int(k) - 1) for x, k in zip(u, m) if k >= 2]
         if len(u) >= 2:
-            found = _aberth(_critical_starts(u), lambda z: _critical_newton(z, u, m), True)
-            for loc, mult in _merge_critical(found, u, m):
+            for loc, mult in critical_roots(u, m):
                 if abs(abs(loc) - 1.0) < CIRCLE_BAND:
                     raise CircleStraddleError(
                         f"critical point {loc} straddles the unit circle"
@@ -377,65 +217,21 @@ class FiniteBlaschkeProduct:
         the returned list, sorted by (re, im).
         """
         c = complex(c)
-        if abs(c) >= 1.0:
+        if not abs(c) < 1.0:
             raise ValueError("fiber value must lie strictly inside the disc")
         if c == 0:
             return sorted(self.zeros, key=lambda w: (w.real, w.imag))
-        a = np.array(self.zeros)
-        ac = a.conj()
-
-        def newton(w):
-            val, der, noise = self._fiber_terms(w, c)
-            f = val - c
-            qlog = np.sum(ac / (ac * w[:, None] - 1.0), axis=1)
-            return f / (der + f * qlog), np.abs(f), noise
-
-        sols = self._merge_fiber(_aberth(_fiber_starts(a, c), newton, False), c)
+        sols = fiber_roots(
+            np.array(self.zeros), c, self._value_and_derivative, self._distinct_zeros, FIBER_EVAL_TOL
+        )
         for w in sols:
-            if abs(w) >= 1.0:
+            if not abs(w) < 1.0:
                 raise NonConvergenceError(f"fiber point {w} escaped the open disc")
         defect = np.abs(self.eval(np.array(sols)) - c)
         if np.max(defect) > FIBER_EVAL_TOL * (1.0 + abs(c)):
             w = sols[int(np.argmax(defect))]
             raise NonConvergenceError(f"fiber point {w} fails re-evaluation")
         return sorted(sols, key=lambda w: (w.real, w.imag))
-
-    def _fiber_terms(self, w: np.ndarray, c: complex):
-        """(B, B', rounding bound of B - c) at the points w."""
-        val, der = self._value_and_derivative(w)
-        return val, der, 2.0 * _EPS * (self.order * np.abs(val) + abs(c) + np.abs(w) * np.abs(der))
-
-    def _merge_fiber(self, w: np.ndarray, c: complex) -> list:
-        """The converged fiber iterates w, with multiple roots merged.
-
-        The iterates of one group (`_rounding_groups`) are one multiple root
-        on a critical point p: the centroid, refined by Newton's method on S
-        for a double root, where p is a simple critical point.  They move onto
-        p only where each lies within the reach sqrt(2 tol (1+|c|)/|B''(p)|)
-        by which the re-evaluation tolerance lets a double root split.
-        """
-        _, der, noise = self._fiber_terms(w, c)
-        out = [complex(x) for x in w]
-        for idx in _rounding_groups(w, noise, der):
-            if len(idx) < 2:
-                continue
-            u, m = self._secular_zeros()
-            loc = complex(np.mean(w[idx]))
-            if len(idx) == 2:
-                crit = _aberth(np.array([loc]), lambda z: _critical_newton(z, u, m), False)
-                (loc, _), = _merge_critical(crit, u, m)
-            elif abs(loc) <= max(abs(w[i] - loc) for i in idx):
-                loc = 0j
-            p = np.array([loc])
-            val, der_p = self._value_and_derivative(p)
-            s, ds, _, _ = _secular(p, u, m)
-            # B'' = B' S + B S'
-            with np.errstate(divide="ignore"):
-                allowed = np.sqrt(2.0 * FIBER_EVAL_TOL * (1.0 + abs(c)) / abs(der_p[0] * s[0] + val[0] * ds[0]))
-            if all(abs(w[i] - loc) <= allowed for i in idx):
-                for i in idx:
-                    out[i] = loc
-        return out
 
     def conjugate_by(
         self, inner: DiscAutomorphism, outer: DiscAutomorphism

@@ -124,7 +124,7 @@ def load_product_spec(path: str) -> FiniteBlaschkeProduct:
     zeros = []
     for i, node in enumerate(zeros_node):
         z = _as_pair(node, f"zeros[{i}]")
-        if abs(z) >= 1.0 - 1e-12:
+        if not abs(z) < 1.0 - 1e-12:
             raise SpecFileError(f"zeros[{i}]: modulus {abs(z)} is not strictly below 1")
         zeros.append(z)
     return FiniteBlaschkeProduct(gamma, tuple(zeros))
@@ -243,14 +243,14 @@ def render_product_svg(B: FiniteBlaschkeProduct) -> str:
                 f'<polyline points="{coords}" fill="none" stroke="#2e6fb0" '
                 f'stroke-width="0.01"/>'
             )
-    for u, m in B._distinct_zeros():
+    for u, m in zip(*B._distinct_zeros()):
         parts.append(
             f'<circle cx="{u.real:.6f}" cy="{-u.imag:.6f}" r="0.025" fill="#1f6f43"/>'
         )
         if m > 1:
             parts.append(
                 f'<text x="{u.real + 0.035:.6f}" y="{-u.imag - 0.035:.6f}" '
-                f'font-size="0.08" fill="#1f6f43">x{m}</text>'
+                f'font-size="0.08" fill="#1f6f43">x{int(m)}</text>'
             )
     for p, m in B.critical_points().interior:
         parts.append(_svg_marker_cross(p.real, -p.imag, 0.02))

@@ -55,14 +55,14 @@ def collinearity_residual(z1, z2, z3) -> float:
 
 def poincare_to_klein(p) -> complex:
     p = complex(p)
-    if abs(p) >= 1.0:
+    if not abs(p) < 1.0:
         raise ValueError("point must lie strictly inside the unit disc")
     return 2.0 * p / (1.0 + abs(p) ** 2)
 
 
 def klein_to_poincare(k) -> complex:
     k = complex(k)
-    if abs(k) >= 1.0:
+    if not abs(k) < 1.0:
         raise ValueError("point must lie strictly inside the unit disc")
     return k / (1.0 + math.sqrt(1.0 - abs(k) ** 2))
 
@@ -80,7 +80,7 @@ class Geodesic:
 
     def __post_init__(self):
         a = complex(self.a)
-        if abs(a) >= 1.0:
+        if not abs(a) < 1.0:
             raise ValueError("geodesic parameter a must lie inside the disc")
         g = complex(self.gamma)
         g = g / abs(g)
@@ -156,7 +156,7 @@ def hyperbolic_convex_hull(points: list) -> HyperbolicHull:
     if not pts:
         raise ValueError("hull of an empty point set is undefined")
     for p in pts:
-        if abs(p) >= 1.0:
+        if not abs(p) < 1.0:
             raise ValueError(f"hull input {p} is not strictly inside the disc")
     dedup: list = []
     for p in pts:

@@ -265,7 +265,7 @@ def counterexample_run(count: int, rate: float = 0.35) -> CounterexampleResult:
 def fatou_quotient(B: FiniteBlaschkeProduct, z) -> float:
     """(1 - |z|^2) |B'(z)| / (1 - |B(z)|^2), the Schwarz-Pick quotient in [0, 1]."""
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError("quotient is defined for interior points only")
     bz = B.eval(z)
     if abs(bz) >= 1.0 - 1e-13:
@@ -312,7 +312,7 @@ def valence(B: FiniteBlaschkeProduct, w, radius: float, samples: int = 4096) -> 
     once if the integer residual exceeds 0.05.
     """
     w = complex(w)
-    if abs(w) >= 1.0:
+    if not abs(w) < 1.0:
         raise ValueError("target value must lie inside the disc")
     if not 0.0 < radius < 1.0:
         raise ValueError("contour radius must lie in (0, 1)")

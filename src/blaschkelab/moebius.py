@@ -49,7 +49,7 @@ class DiscAutomorphism:
 
     def __post_init__(self):
         a = complex(self.a)
-        if abs(a) >= 1.0 - INTERIOR_MARGIN:
+        if not abs(a) < 1.0 - INTERIOR_MARGIN:
             raise ValueError(f"automorphism parameter must satisfy |a| < 1, got |a| = {abs(a)}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "gamma", _renormalized_unimodular(self.gamma))
@@ -115,7 +115,7 @@ def automorphism_limit_bound(a, gamma, gamma0, z) -> float:
     breakdown and raises ArithmeticError.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError("the bound degenerates for |z| >= 1")
     gamma = _renormalized_unimodular(gamma)
     gamma0 = complex(gamma0)  # taken as given so that gamma0 = a*gamma yields bound 0

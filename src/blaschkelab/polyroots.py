@@ -1,376 +1,251 @@
-"""All-roots polynomial solving by simultaneous Aberth-Ehrlich iteration.
+"""Critical points and fibers of a finite Blaschke product by Aberth iteration.
 
-Initial estimates are read off the Newton polygon of the coefficients (the
-upper convex hull of (k, log|c_k|)): each polygon edge contributes a ring of
-guesses at the classical root-modulus estimate, at equally spaced angles
-with a fixed 0.4 rad offset.  This keeps every evaluation at the scale of
-the actual roots; a single circle of Cauchy-bound radius overflows a
-degree ~50 evaluation outright whenever the leading coefficient is small,
-as happens for the mirror-root polynomials this package produces.  The
-whole scheme is deterministic and seed-free.
-
-After the coupled Newton sweeps each root is polished and near-coincident
-roots are grouped into multiplicity clusters.
-
-Residuals are scaled: for a root r of p with degree d,
-
-    residual(r) = |p(r)| / (max_k |c_k| * max(1, |r|)^d).
-
-For |r| <= 1 this is the plain coefficient-relative residual; beyond the
-unit circle it is the residual of 1/r against the reversed polynomial,
-which is the scale double precision can actually certify for the large
-mirror roots that arise from reflecting critical points across the circle.
-
-Multiplicity clustering cannot use one fixed tolerance: an m-fold root of a
-polynomial whose coefficients carry relative rounding eps splits into a
-cluster of diameter ~eps^(1/m), e.g. ~1e-5 for a triple root.  Clusters are
-therefore formed by single linkage at a graduated ladder of tolerances
-(floor 1e-7 x Cauchy bound) and a candidate clustering is accepted only if
-the monic polynomial rebuilt from it reproduces the input coefficients to
-1e-9 relative, which rejects accidental merges of genuinely distinct roots.
+Both root finders run simultaneous Aberth-Ehrlich sweeps on quantities that
+cost O(order) per point and never expand a polynomial: critical points are
+the zeros of the secular sum S = B'/B over the distinct zeros (only the
+interior ones are iterated; their reflections 1/conj(w) enter the coupling),
+and the fiber of c is the root set of Q (B - c), Q = prod_k (1 - conj(a_k) w),
+with B and B' from the caller's product-rule pass.  A root stops once its
+residual is within the rounding bound of its evaluation, and roots that
+rounding cannot tell apart are merged into one multiple root.  The module
+works on plain arrays; `critical_roots` and `fiber_roots` are its only entry
+points.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from ._util import coerce_points, uncoerce
 from .errors import NonConvergenceError
 
-TRIM_REL = 1e-14
-RESIDUAL_TOL = 1e-8
-POLISH_REL = 1e-12
-MAX_SWEEPS = 200
-CLUSTER_FLOOR_REL = 1e-7
-RECONSTRUCT_REL = 1e-9
-
 _EPS = np.finfo(float).eps
+# sweeps after which an Aberth root that has not met its stopping test is a failure
+_MAX_SWEEPS = 200
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial with complex coefficients in ascending degree order.
+def critical_roots(u: np.ndarray, m: np.ndarray) -> list:
+    """(point, multiplicity) for the interior zeros of S = B'/B.
 
-    Coefficients whose modulus is below 1e-14 of the largest one are trimmed
-    from the high-degree end on construction.
+    u holds the g >= 2 distinct zeros of B and m their multiplicities; the
+    multiplicities of the returned points sum to g - 1.  Iterates that
+    rounding cannot tell apart from a multiple root are merged, and a point
+    whose error bound reaches the origin is exactly 0.  Raises
+    NonConvergenceError when a root is still moving after the sweep cap.
     """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        cs = [complex(c) for c in self.coeffs]
-        if not cs:
-            raise ValueError("coefficient list must be nonempty")
-        top = max(abs(c) for c in cs)
-        if top == 0.0 or not np.isfinite(top):
-            raise ValueError("polynomial must have a nonzero finite coefficient")
-        while len(cs) > 1 and abs(cs[-1]) < TRIM_REL * top:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def max_coeff(self) -> float:
-        return max(abs(c) for c in self.coeffs)
-
-    def __call__(self, z):
-        zz, scalar = coerce_points(z)
-        return uncoerce(npoly.polyval(zz, np.array(self.coeffs)), scalar)
-
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            raise ValueError("derivative of a constant is the zero polynomial")
-        return Polynomial(tuple(npoly.polyder(np.array(self.coeffs))))
-
-    def cauchy_radius(self) -> float:
-        """Upper bound 1 + max|c_k/c_d| on the modulus of every root."""
-        if self.degree == 0:
-            return 1.0
-        lead = abs(self.coeffs[-1])
-        return 1.0 + max(abs(c) for c in self.coeffs[:-1]) / lead
+    found = _aberth(_critical_starts(u), lambda z: _critical_newton(z, u, m), True)
+    return _merge_critical(found, u, m)
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Clustered roots (location, multiplicity) plus scaled residuals."""
+def fiber_roots(a: np.ndarray, c: complex, value_and_derivative, distinct_zeros, tol: float) -> list:
+    """All len(a) roots of Q (B - c), multiplicities expanded, unsorted.
 
-    roots: tuple          # tuple of (complex, int)
-    residuals: tuple      # tuple of float, parallel to roots
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.roots)
-
-    def locations(self) -> list:
-        """Root locations expanded with multiplicity."""
-        out = []
-        for r, m in self.roots:
-            out.extend([r] * m)
-        return out
-
-
-class PolishResult(NamedTuple):
-    root: complex
-    stalled: bool
-
-
-def scaled_residual(p: Polynomial, z: complex) -> float:
-    z = complex(z)
-    return abs(p(z)) / (p.max_coeff * max(1.0, abs(z)) ** p.degree)
-
-
-def _newton_refine(coeffs: np.ndarray, z: complex, iters: int = 60) -> complex:
-    """Plain Newton iteration; stops at evaluation-noise level."""
-    dcoeffs = npoly.polyder(coeffs)
-    mags = np.abs(coeffs)
-    for _ in range(iters):
-        pv = npoly.polyval(z, coeffs)
-        noise = 4.0 * _EPS * npoly.polyval(abs(z), mags)
-        if abs(pv) <= noise:
-            break
-        dv = npoly.polyval(z, dcoeffs)
-        if dv == 0:
-            break
-        step = pv / dv
-        z = z - step
-        if abs(step) <= 1e-16 * max(1.0, abs(z)):
-            break
-    return z
-
-
-def _polish_point(coeffs: np.ndarray, z: complex) -> complex:
-    """Newton-refine z; roots beyond the unit circle are polished as
-    reciprocal roots of the reversed polynomial for accuracy."""
-    if abs(z) > 1.0:
-        rev = coeffs[::-1].copy()
-        y = _newton_refine(rev, 1.0 / z)
-        return 1.0 / y if y != 0 else z
-    return _newton_refine(coeffs, z)
-
-
-def polish_root(p: Polynomial, guess) -> PolishResult:
-    """Newton polishing toward residual <= 1e-12 relative.
-
-    Returns the refined root, or the unchanged guess with ``stalled=True``
-    when the target residual is not reached (typical of multiple roots).
+    a holds the zeros of B with repeats, value_and_derivative(w) returns
+    (B(w), B'(w)), and distinct_zeros() the distinct zeros and their
+    multiplicities; it is called once, and only when some iterates merge.  A
+    group of iterates that rounding cannot tell apart moves onto the multiple
+    root under it only where each lies within the reach by which a double
+    root splits at re-evaluation tolerance tol.  Raises NonConvergenceError
+    when a root is still moving after the sweep cap.
     """
-    z = _polish_point(np.array(p.coeffs), complex(guess))
-    if scaled_residual(p, z) <= POLISH_REL:
-        return PolishResult(z, False)
-    return PolishResult(complex(guess), True)
+    ac = a.conj()
+
+    def terms(w):
+        """(B, B', rounding bound of B - c) at the points w."""
+        val, der = value_and_derivative(w)
+        return val, der, 2.0 * _EPS * (len(a) * np.abs(val) + abs(c) + np.abs(w) * np.abs(der))
+
+    def newton(w):
+        val, der, noise = terms(w)
+        f = val - c
+        qlog = np.sum(ac / (ac * w[:, None] - 1.0), axis=1)
+        return f / (der + f * qlog), np.abs(f), noise
+
+    return _merge_fiber(_aberth(_fiber_starts(a, c), newton, False), c, terms, distinct_zeros, tol)
 
 
-def _initial_guesses(work: np.ndarray) -> np.ndarray:
-    """Ring-wise starting points from the Newton polygon of the coefficients.
+def _aberth(z, newton, mirrored: bool) -> np.ndarray:
+    """Simultaneous Aberth iteration for all roots of f from the starts z.
 
-    For consecutive upper-hull vertices (k1, log|c_k1|) and (k2, log|c_k2|)
-    the k2 - k1 roots of matching magnitude are started on the ring of
-    radius (|c_k1|/|c_k2|)**(1/(k2-k1)).
+    newton(z) returns (f/f', |f|, rounding bound of f) at the points z.  A root
+    stops, after taking that sweep's correction, once |f| is within its
+    rounding bound, and stays in the coupling.
+    With `mirrored` the roots of f are the iterates together with their
+    reflections 1/conj(z): those enter the coupling without being iterated,
+    and an iterate that leaves the disc is replaced by its reflection.
     """
-    d = len(work) - 1
-    mags = np.abs(work)
-    finite = mags > 0
-    logs = np.full(d + 1, -np.inf)
-    logs[finite] = np.log(mags[finite])
+    z = np.array(z, dtype=complex)
+    live = np.arange(z.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_SWEEPS):
+            zl = z[live]
+            step, size, noise = newton(zl)
+            done = (size <= noise) & np.isfinite(noise)
+            diff = zl[:, None] - z
+            diff[np.arange(live.size), live] = np.inf
+            pull = np.sum(1.0 / diff, axis=1)
+            if mirrored:
+                w = np.conj(z)
+                pull = pull + np.sum(w / (w * zl[:, None] - 1.0), axis=1)
+            corr = step / (1.0 - step * pull)
+            # a root that stops takes its last correction too; a non-finite
+            # correction (an iterate on a pole of f) is not taken, so such a
+            # root ends at the sweep cap
+            z[live] = np.where(np.isfinite(corr), zl - corr, zl)
+            if mirrored:
+                out = np.abs(z) > 1.0
+                z[out] = 1.0 / np.conj(z[out])
+            live = live[~done]
+            if live.size == 0:
+                return z
+    raise NonConvergenceError(
+        f"{live.size} of {z.size} roots unresolved after {_MAX_SWEEPS} Aberth sweeps"
+    )
 
-    hull = []  # indices of upper-hull vertices, left to right
-    for i in range(d + 1):
-        if not np.isfinite(logs[i]):
-            continue
-        while len(hull) >= 2:
-            i1, i2 = hull[-2], hull[-1]
-            cross = (i2 - i1) * (logs[i] - logs[i2]) - (logs[i2] - logs[i1]) * (i - i2)
-            if cross >= 0:  # i2 lies on or below the segment i1 -> i
-                hull.pop()
-            else:
-                break
-        hull.append(i)
 
-    out = np.empty(d, dtype=complex)
-    pos = 0
-    for k1, k2 in zip(hull, hull[1:]):
-        radius = math.exp((logs[k1] - logs[k2]) / (k2 - k1))
-        for j in range(k2 - k1):
-            theta = 2.0 * np.pi * (pos + j) / d + 0.4 + 0.1 * k1
-            out[pos + j] = radius * np.exp(1j * theta)
-        pos += k2 - k1
+def _secular(z, u, m):
+    """(S, S', rounding bound of S, (T, P, R)) at the points z.
+
+    S = B'/B = sum_k T_k over the distinct zeros u_k of multiplicity m_k, with
+    T_k = m_k (1-|u_k|^2) / ((1-conj(u_k) z)(z-u_k)) and
+    d/dz log T_k = P_k - R_k, P_k = conj(u_k)/(1-conj(u_k) z), R_k = 1/(z-u_k);
+    T, P and R are (points x zeros) arrays.  The bound is 4 eps times the
+    size of the summands plus the rounding of z itself, |z| sum_k |T_k'|.
+    """
+    # in place where possible: at order 128 each (points x zeros) array is
+    # a quarter megabyte
+    q = np.subtract(1.0, np.conj(u) * z[:, None])
+    d = np.subtract(z[:, None], u)
+    t = np.divide(m * (1.0 - np.abs(u) ** 2), q * d)
+    p = np.divide(np.conj(u), q, out=q)
+    r = np.divide(1.0, d, out=d)
+    dt = p - r
+    dt *= t
+    noise = 4.0 * _EPS * (np.abs(t).sum(axis=1) + np.abs(z) * np.abs(dt).sum(axis=1))
+    return t.sum(axis=1), dt.sum(axis=1), noise, (t, p, r)
+
+
+def _critical_newton(z, u, m):
+    """(N/N', |S|, rounding bound of S) at the points z.
+
+    N = S prod_k (1 - conj(u_k) z)(z - u_k) is the polynomial whose roots are
+    the critical points that S accounts for, so N'/N = S'/S - sum_k d log T_k.
+    """
+    s, ds, noise, (_, p, r) = _secular(z, u, m)
+    return s / (ds - s * (p - r).sum(axis=1)), np.abs(s), noise
+
+
+def _next_to(points: np.ndarray) -> np.ndarray:
+    """Starts 1e-3 off the given points, at distinct angles, so that
+    coincident or nearly coincident points give distinct starts."""
+    return points + 1e-3 * np.exp(2j * np.pi * np.arange(len(points)) / len(points))
+
+
+def _critical_starts(u: np.ndarray) -> np.ndarray:
+    """Starts for the g - 1 interior critical points: next to the distinct
+    zeros, all but the one nearest the origin."""
+    return _next_to(u[sorted(range(len(u)), key=lambda k: abs(u[k]))[1:]])
+
+
+def _fiber_starts(a: np.ndarray, c: complex) -> np.ndarray:
+    """Starts for the fiber of c.
+
+    The fiber point that leaves the zero a_k as the target grows from 0 to c
+    stays near it while |a_k| exceeds the radius r at which the circle mean
+    of log|B|, sum_k log max(r, |a_k|) (Jensen), reaches log|c|; the others
+    start evenly spread on that circle.
+    """
+    a = a[sorted(range(len(a)), key=lambda k: abs(a[k]))]
+    mods = np.abs(a)
+    logs = np.log(np.where(mods > 0.0, mods, 1e-300))
+    above = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
+    # the circle mean at r = |a_j| (sorted) is j log|a_j| + sum_{i >= j} log|a_i|
+    k = int(np.sum(np.arange(len(a)) * logs + above[:-1] < np.log(abs(c))))
+    out = _next_to(a)
+    if k:
+        r = np.exp((np.log(abs(c)) - above[k]) / k)
+        out[:k] = r * np.exp(1j * (2.0 * np.pi * np.arange(k) / k + 0.4))
     return out
 
 
-def _aberth(work: np.ndarray) -> np.ndarray:
-    """Simultaneous iteration for all roots of the monic polynomial `work`."""
-    d = len(work) - 1
-    if d == 1:
-        return np.array([-work[0] / work[1]])
-    z = _initial_guesses(work)
-    scale = float(np.max(np.abs(z)))
-    dwork = npoly.polyder(work)
-    frozen = np.zeros(d, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(MAX_SWEEPS):
-            # resolve exact collisions deterministically before forming 1/(z_i - z_j)
-            probe = z[:, None] - z[None, :]
-            np.fill_diagonal(probe, 1.0)
-            if np.any(probe == 0):
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        if z[i] == z[j]:
-                            z[j] = z[j] + 1e-12 * scale * (1.0 + 1j) * (j + 1)
-            pv = npoly.polyval(z, work)
-            dv = npoly.polyval(z, dwork)
-            dv = np.where(dv == 0, _EPS, dv)
-            newton = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            coupling = np.sum(1.0 / diff, axis=1) - 1.0  # subtract the diagonal 1/1
-            denom = 1.0 - newton * coupling
-            corr = np.where(np.abs(denom) > 1e-290, newton / denom, newton)
-            corr = np.where(np.isfinite(corr), corr, newton)
-            # a non-finite correction means the evaluation overflowed out at
-            # this iterate; contract it toward the origin instead
-            corr = np.where(np.isfinite(corr), corr, 0.3 * z)
-            corr = np.where(frozen, 0.0, corr)
-            z = z - corr
-            z = np.where(np.isfinite(z), z, 0.5 * scale)
-            frozen = frozen | (np.abs(corr) <= 1e-15 * np.maximum(1.0, np.abs(z)))
-            if np.all(frozen):
-                break
-    return z
+def _rounding_groups(z, noise, d1) -> list:
+    """Index lists of the converged roots z of f that rounding cannot tell
+    apart, and singletons for the others; noise and d1 = f' are given at z.
+
+    A root z_i is uncertain by about noise_i/|f'(z_i)|, the first-order
+    radius within which |f| stays below its rounding bound.  Near an m-fold
+    root q, f ~ c (z - q)^m, the parts that rounding splits it into stop
+    where |f| meets that bound, so each lies within m noise/|f'| of q and its
+    neighbours on that ring within 2 pi noise/|f'|.  Roots closer than 8
+    times the sum of their radii are grouped: two simple roots that close
+    have |f| <= 4 noise at their midpoint, as near a double root.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = noise / np.abs(d1)
+    radius = np.where(np.isfinite(radius), radius, 0.0)
+    links = np.abs(z[:, None] - z) <= 8.0 * (radius[:, None] + radius)
+    label = list(range(len(z)))
+    for i, j in zip(*np.nonzero(np.triu(links, 1))):
+        if label[i] != label[j]:
+            old = label[j]
+            label = [label[i] if x == old else x for x in label]
+    groups: dict = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    return list(groups.values())
 
 
-def _single_linkage(points: list, tol: float) -> list:
-    """Cluster points by single linkage at distance tol; returns lists of indices."""
-    n = len(points)
-    parent = list(range(n))
+def _merge_critical(z, u, m) -> list:
+    """(point, multiplicity) for the converged interior iterates z.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    The iterates of one group (`_rounding_groups`) are one multiple point at
+    their centroid, which rounding perturbs far less than the members.  A
+    point whose error bound (noise/|S'| for a simple one, the spread of a
+    group) reaches the origin is reported as exactly 0, and all such points
+    as one.
+    """
+    _, ds, noise, _ = _secular(z, u, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = noise / np.abs(ds)
+    out: dict = {}
+    for idx in _rounding_groups(z, noise, ds):
+        if len(idx) == 1:
+            loc, bound = complex(z[idx[0]]), err[idx[0]]
+        else:
+            loc = complex(np.mean(z[idx]))
+            bound = max(abs(z[i] - loc) for i in idx)
+        loc = 0j if abs(loc) <= bound else loc
+        out[loc] = out.get(loc, 0) + len(idx)
+    return list(out.items())
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[k] for k in sorted(groups)]
 
+def _merge_fiber(w: np.ndarray, c: complex, terms, distinct_zeros, tol: float) -> list:
+    """The converged fiber iterates w, with multiple roots merged.
 
-def _monic_from_clusters(clusters: list) -> np.ndarray:
-    out = np.array([1.0 + 0j])
-    for centre, mult in clusters:
-        for _ in range(mult):
-            out = np.convolve(out, np.array([-centre, 1.0 + 0j]))
+    The iterates of one group (`_rounding_groups`) are one multiple root
+    on a critical point p: the centroid, refined by Newton's method on S
+    for a double root, where p is a simple critical point.  They move onto
+    p only where each lies within the reach sqrt(2 tol (1+|c|)/|B''(p)|)
+    by which the re-evaluation tolerance lets a double root split.
+    """
+    _, der, noise = terms(w)
+    out = [complex(x) for x in w]
+    groups = [idx for idx in _rounding_groups(w, noise, der) if len(idx) >= 2]
+    if groups:
+        u, m = distinct_zeros()
+    for idx in groups:
+        loc = complex(np.mean(w[idx]))
+        if len(idx) == 2:
+            crit = _aberth(np.array([loc]), lambda z: _critical_newton(z, u, m), False)
+            (loc, _), = _merge_critical(crit, u, m)
+        elif abs(loc) <= max(abs(w[i] - loc) for i in idx):
+            loc = 0j
+        p = np.array([loc])
+        val, der_p, _ = terms(p)
+        s, ds, _, _ = _secular(p, u, m)
+        # B'' = B' S + B S'
+        with np.errstate(divide="ignore"):
+            allowed = np.sqrt(2.0 * tol * (1.0 + abs(c)) / abs(der_p[0] * s[0] + val[0] * ds[0]))
+        if all(abs(w[i] - loc) <= allowed for i in idx):
+            for i in idx:
+                out[i] = loc
     return out
-
-
-def _refine_multiple(monic: np.ndarray, centre: complex, mult: int) -> complex:
-    """Sharpen an m-fold root estimate via Newton on the (m-1)-th derivative.
-
-    An m-fold root of p is a simple, well-conditioned root of p^(m-1); the
-    raw cluster centroid is only accurate to ~eps^(1/m), while this recovers
-    it to near machine precision when the multiplicity really is m.
-    """
-    dcoeffs = monic
-    for _ in range(mult - 1):
-        dcoeffs = npoly.polyder(dcoeffs)
-    return _newton_refine(dcoeffs, centre)
-
-
-def _cluster_roots(points: list, monic_ascending: np.ndarray, radius: float) -> list:
-    """Group root approximations into multiplicity clusters.
-
-    Tolerances go from coarse (suited to high multiplicities, whose
-    approximations scatter like eps^(1/m)) down to the 1e-7 x Cauchy-bound
-    floor.  Candidate cluster centres are refined through the derivative
-    structure, and the first clustering whose rebuilt monic polynomial
-    matches the input within 1e-9 relative wins; the refinement is what
-    makes that test sharp enough to reject merges of genuinely distinct
-    roots.  The all-simple fallback is always consistent.
-    """
-    pts = sorted(points, key=lambda w: (w.real, w.imag))
-    d = len(pts)
-    if d == 0:
-        return []
-    ladder = []
-    for m in range(d, 1, -1):
-        ladder.append(max(CLUSTER_FLOOR_REL * radius, 25.0 * radius * _EPS ** (1.0 / (m + 1))))
-    ladder.append(CLUSTER_FLOOR_REL * radius)
-    ladder = sorted(set(ladder), reverse=True)
-    scale = max(1.0, np.max(np.abs(monic_ascending)))
-    for tol in ladder:
-        groups = _single_linkage(pts, tol)
-        clusters = []
-        # a wrong multiplicity can overflow the derivative coefficients and
-        # send the candidate centre to inf or nan; such a candidate fails the
-        # rebuild test below and is rejected
-        with np.errstate(over="ignore", invalid="ignore"):
-            for g in groups:
-                centre = sum(pts[i] for i in g) / len(g)
-                if len(g) > 1:
-                    centre = _refine_multiple(monic_ascending, centre, len(g))
-                clusters.append((complex(centre), len(g)))
-            rebuilt = _monic_from_clusters(clusters)
-            if len(rebuilt) == len(monic_ascending) and np.max(
-                np.abs(rebuilt - monic_ascending)
-            ) <= RECONSTRUCT_REL * scale:
-                return clusters
-    return [(p, 1) for p in pts]
-
-
-def find_roots(p: Polynomial) -> RootSet:
-    """All complex roots of p with multiplicities and scaled residuals.
-
-    Deterministic for a fixed input.  Raises NonConvergenceError when any
-    clustered root fails the 1e-8 scaled-residual gate.
-    """
-    d = p.degree
-    if d < 1:
-        raise ValueError("find_roots requires degree >= 1")
-    coeffs = np.array(p.coeffs)
-    top = p.max_coeff
-
-    # exact (to trimming tolerance) roots at the origin are deflated first
-    m0 = 0
-    while m0 < d and abs(coeffs[m0]) <= TRIM_REL * top:
-        m0 += 1
-    work = coeffs[m0:]
-
-    found: list = []
-    if len(work) > 1:
-        monic = work / work[-1]
-        raw = _aberth(monic)
-        found = [_polish_point(monic, complex(z)) for z in raw]
-
-    all_pts = [0j] * m0 + found
-    full_monic = coeffs / coeffs[-1]
-    radius = p.cauchy_radius()
-    clusters = _cluster_roots(all_pts, full_monic, radius)
-
-    # centroids indistinguishable from the origin are snapped to exactly 0
-    clusters = [((0j, m) if abs(c) <= TRIM_REL * radius else (c, m)) for c, m in clusters]
-    clusters.sort(key=lambda cm: (cm[0].real, cm[0].imag))
-
-    residuals = [scaled_residual(p, c) for c, _ in clusters]
-    bad = [i for i, r in enumerate(residuals) if r > RESIDUAL_TOL]
-    if bad:
-        worst = max(residuals[i] for i in bad)
-        raise NonConvergenceError(
-            f"{len(bad)} root(s) failed the residual gate (worst {worst:.3e} > {RESIDUAL_TOL})"
-        )
-    if sum(m for _, m in clusters) != d:
-        raise NonConvergenceError("root count with multiplicity does not match the degree")
-    return RootSet(tuple(clusters), tuple(residuals))

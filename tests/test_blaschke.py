@@ -4,11 +4,21 @@ import pytest
 from blaschkelab import (
     DiscAutomorphism,
     FiniteBlaschkeProduct,
+    Geodesic,
     PoleProximityError,
     ZeroProximityError,
     automorphism_eval,
+    automorphism_limit_bound,
+    fatou_quotient,
+    hull_contains,
+    hyperbolic_convex_hull,
+    klein_to_poincare,
+    poincare_to_klein,
     random_product,
+    valence,
 )
+
+NAN = float("nan")
 
 
 def rand_disc(rng, radius=0.85):
@@ -242,6 +252,13 @@ class TestCriticalPoints:
         cs = B.critical_points()
         assert sum(m for _, m in cs.interior) == 2
 
+    def test_chain_of_nearly_equal_zeros_is_one_multiple_zero(self):
+        # each zero lies within DISTINCT_ZERO_TOL of the next, not of the first
+        B = FiniteBlaschkeProduct(1.0, (0.3, 0.3 + 0.9e-12, 0.3 + 1.8e-12, -0.4))
+        cs = B.critical_points()
+        assert (0.3 + 0j, 2) in cs.interior
+        assert sum(m for _, m in cs.interior) == 3
+
     def test_fiber_at_critical_value_has_double_point(self):
         B = FiniteBlaschkeProduct(1.0, (0.5, -0.5))
         fib = B.fiber_solve(complex(B.eval(0.0)))
@@ -312,3 +329,34 @@ class TestConjugateBy:
             z = rand_disc(rng, 0.9)
             nested = automorphism_eval(outer, B.eval(automorphism_eval(inner, z)))
             assert abs(f.eval(z) - nested) <= 1e-10
+
+
+_B = FiniteBlaschkeProduct(1.0, (0.5, -0.3j))
+_HULL = hyperbolic_convex_hull([0.1, 0.2j, -0.3])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FiniteBlaschkeProduct(1.0, (0.5, NAN)),
+        lambda: FiniteBlaschkeProduct(1.0, (complex(0.0, NAN),)),
+        lambda: _B.fiber_solve(NAN),
+        lambda: DiscAutomorphism(NAN, 1.0),
+        lambda: automorphism_limit_bound(0.5, 1.0, 1.0, NAN),
+        lambda: poincare_to_klein(NAN),
+        lambda: klein_to_poincare(NAN),
+        lambda: Geodesic(NAN, 1.0),
+        lambda: hyperbolic_convex_hull([0.1, NAN]),
+        lambda: hull_contains(_HULL, NAN, 1e-8),
+        lambda: fatou_quotient(_B, NAN),
+        lambda: valence(_B, NAN, 0.9),
+    ],
+    ids=[
+        "zero", "imaginary-zero", "fiber-value", "automorphism", "limit-bound",
+        "poincare-to-klein", "klein-to-poincare", "geodesic", "hull-input",
+        "hull-member", "fatou-quotient", "valence-target",
+    ],
+)
+def test_nan_is_not_inside_the_disc(call):
+    with pytest.raises(ValueError):
+        call()

@@ -61,6 +61,15 @@ class TestSpecFile:
         with pytest.raises(SpecFileError, match=r"zeros\[0\]"):
             load_product_spec(str(path))
 
+    def test_nan_zero_exits_usage(self, tmp_path):
+        # json reads NaN, which passes any check written as abs(z) >= bound
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"gamma": [1, 0], "zeros": [[0.5, 0], [float("nan"), 0]]}))
+        with pytest.raises(SpecFileError, match=r"zeros\[1\]"):
+            load_product_spec(str(path))
+        rc, _ = run(["critical-points", str(path)])
+        assert rc == EXIT_USAGE
+
     def test_invalid_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
