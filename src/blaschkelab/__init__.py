@@ -1,5 +1,7 @@
 """Numerical toolkit for finite Blaschke products on the unit disc."""
 
+from types import ModuleType as _ModuleType
+
 from .blaschke import CriticalSet, FiniteBlaschkeProduct
 from .errors import (
     BoundaryProximityError,
@@ -53,48 +55,6 @@ from .moebius import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryProximityError",
-    "CircleStraddleError",
-    "ContourThroughFiberError",
-    "ConvergenceRecord",
-    "CounterexampleResult",
-    "CriticalSet",
-    "DiscAutomorphism",
-    "ExtractionAmbiguityError",
-    "FiniteBlaschkeProduct",
-    "Geodesic",
-    "HyperbolicHull",
-    "InvalidAnnulusError",
-    "NonConvergenceError",
-    "PoleProximityError",
-    "SeparationEstimate",
-    "SequenceSpec",
-    "ValenceReport",
-    "ZeroProximityError",
-    "automorphism_compose",
-    "automorphism_eval",
-    "automorphism_inverse",
-    "automorphism_limit_bound",
-    "collinearity_residual",
-    "convergence_experiment",
-    "counterexample_run",
-    "default_valence_radius",
-    "density_family",
-    "density_family3",
-    "derivative_at_zero_identity",
-    "euclidean_convex_hull",
-    "fatou_limit_scan",
-    "fatou_quotient",
-    "geodesic_point",
-    "hull_contains",
-    "hyperbolic_convex_hull",
-    "klein_to_poincare",
-    "poincare_to_klein",
-    "pseudo_hyperbolic_distance",
-    "random_product",
-    "renormalized_conjugate",
-    "rotation_constant",
-    "separation_estimate",
-    "valence",
-]
+# the public names are the ones imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

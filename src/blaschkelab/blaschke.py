@@ -211,27 +211,34 @@ class FiniteBlaschkeProduct:
     def fiber_solve(self, c) -> list:
         """All order-many solutions of B(w) = c inside the disc (|c| < 1).
 
-        Solutions are the roots of Q (B - c), Q(w) = prod_k (1 - conj(z_k) w),
-        found by Aberth iteration on B - c with B and B' from the product
-        rule; for c = 0 they are the zeros.  Multiplicities are expanded in
-        the returned list, sorted by (re, im).
+        A scalar c gives one list sorted by (re, im), an array one such list
+        per target (flattened).  Solutions are the roots of Q (B - c),
+        Q(w) = prod_k (1 - conj(z_k) w), found by Aberth iteration on B - c
+        with B and B' from the product rule, all targets in one run; for
+        c = 0 they are the zeros.  Multiplicities are expanded.
         """
-        c = complex(c)
-        if not abs(c) < 1.0:
+        cc = coerce_points(c)[0]
+        targets = cc.ravel().tolist()
+        if not all(abs(x) < 1.0 for x in targets):
             raise ValueError("fiber value must lie strictly inside the disc")
-        if c == 0:
-            return sorted(self.zeros, key=lambda w: (w.real, w.imag))
-        sols = fiber_roots(
-            np.array(self.zeros), c, self._value_and_derivative, self._distinct_zeros, FIBER_EVAL_TOL
-        )
-        for w in sols:
-            if not abs(w) < 1.0:
-                raise NonConvergenceError(f"fiber point {w} escaped the open disc")
-        defect = np.abs(self.eval(np.array(sols)) - c)
-        if np.max(defect) > FIBER_EVAL_TOL * (1.0 + abs(c)):
-            w = sols[int(np.argmax(defect))]
-            raise NonConvergenceError(f"fiber point {w} fails re-evaluation")
-        return sorted(sols, key=lambda w: (w.real, w.imag))
+        fibers = [list(self.zeros)] * len(targets)
+        todo = [t for t, x in enumerate(targets) if x != 0]
+        if todo:
+            cs = cc.ravel()[todo]
+            found = fiber_roots(np.array(self.zeros), cs, self._value_and_derivative,
+                                self._distinct_zeros, FIBER_EVAL_TOL)
+            for t, sols in zip(todo, found):
+                for w in sols:
+                    if not abs(w) < 1.0:
+                        raise NonConvergenceError(f"fiber point {w} of {targets[t]} escaped the open disc")
+                fibers[t] = sols
+            defect = np.abs(self.eval(np.array(sum(found, []))) - np.repeat(cs, self.order))
+            bad = defect > np.repeat([FIBER_EVAL_TOL * (1.0 + abs(targets[t])) for t in todo], self.order)
+            if bad.any():
+                t, k = divmod(int(np.argmax(np.where(bad, defect, -1.0))), self.order)
+                raise NonConvergenceError(f"fiber point {found[t][k]} of {cs[t]} fails re-evaluation")
+        out = [sorted(f, key=lambda w: (w.real, w.imag)) for f in fibers]
+        return out[0] if cc.ndim == 0 else out
 
     def conjugate_by(
         self, inner: DiscAutomorphism, outer: DiscAutomorphism

@@ -380,9 +380,10 @@ def _suite_valence(trials: int, rng, config: RunConfig):
         order = int(rng.integers(1, 7))
         B = random_product(rng, order, 0.85)
         w = 0.6 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        radius = default_valence_radius(B, w)
+        fiber = B.fiber_solve(w)
+        radius = default_valence_radius(B, w, fiber)
         rep = valence(B, w, radius, 4096)
-        inside = sum(1 for v in B.fiber_solve(w) if abs(v) < radius)
+        inside = sum(1 for v in fiber if abs(v) < radius)
         if not (rep.valence == order == inside and rep.residual < config.tol("valence_residual")):
             return False, {}, {
                 "reason": "valence",

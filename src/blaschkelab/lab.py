@@ -294,11 +294,11 @@ def fatou_limit_scan(B: FiniteBlaschkeProduct, radii, angles: int) -> list:
     return out
 
 
-def default_valence_radius(B: FiniteBlaschkeProduct, w) -> float:
-    """Contour radius enclosing the whole fiber: halfway from its outermost
-    point to the circle; 1 - 1e-3 when the fiber is not available."""
+def default_valence_radius(B: FiniteBlaschkeProduct, w, fiber=None) -> float:
+    """Contour radius enclosing the whole fiber of w (solved unless given): halfway
+    from its outermost point to the circle; 1 - 1e-3 when it is not available."""
     try:
-        fiber = B.fiber_solve(w)
+        fiber = B.fiber_solve(w) if fiber is None else fiber
     except NonConvergenceError:
         return 1.0 - 1e-3
     return 0.5 * (1.0 + max(abs(v) for v in fiber))
@@ -351,11 +351,11 @@ def separation_estimate(B: FiniteBlaschkeProduct, M: float, samples: int) -> Sep
     """Empirical lower bound on the fiber separation in M <= |z| <= 1/M.
 
     Base points are placed on the circles |a| = M and |a| = (M+1)/2 at
-    golden-ratio angles; for each, the full fiber of B(a) is computed, its
-    members inside the annulus are kept together with their reflections
-    across the circle, and the minimum pairwise distance within each
-    equal-value group is recorded.  An order-1 product has singleton fibers
-    and reports delta = +inf with no witness pair.
+    golden-ratio angles; the fibers of their values are solved in one
+    `fiber_solve` call, and of each, the members inside the annulus are kept
+    together with their reflections across the circle, and the minimum
+    pairwise distance within each equal-value group is recorded.  An order-1
+    product has singleton fibers and reports delta = +inf with no witness pair.
     """
     zmax = max(abs(z) for z in B.zeros)
     if not zmax < M < 1.0:
@@ -365,14 +365,12 @@ def separation_estimate(B: FiniteBlaschkeProduct, M: float, samples: int) -> Sep
     if samples < 1:
         raise ValueError("need at least one base point")
     circles = [M, 0.5 * (M + 1.0)]
+    thetas = [2.0 * np.pi * (((i + 1) * GOLDEN_FRAC) % 1.0) for i in range(samples)]
+    base = [circles[i % 2] * np.exp(1j * theta) for i, theta in enumerate(thetas)]
     best = math.inf
     witness = None
     keep_tol = M * (1.0 - 1e-12)
-    for i in range(samples):
-        radius = circles[i % 2]
-        theta = 2.0 * np.pi * (((i + 1) * GOLDEN_FRAC) % 1.0)
-        a = radius * np.exp(1j * theta)
-        fiber = B.fiber_solve(B.eval(a))
+    for fiber in B.fiber_solve(B.eval(np.array(base))):
         kept = [v for v in fiber if abs(v) >= keep_tol]
         reflected = [1.0 / np.conj(v) for v in kept]
         for group in (kept, reflected):

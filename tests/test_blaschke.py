@@ -17,8 +17,10 @@ from blaschkelab import (
     random_product,
     valence,
 )
+from blaschkelab import polyroots
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def rand_disc(rng, radius=0.85):
@@ -294,6 +296,38 @@ class TestFiberSolve:
         with pytest.raises(ValueError):
             B.fiber_solve(1.5)
 
+    def test_one_element_array_is_the_scalar_fiber(self):
+        B = random_product(np.random.default_rng(10), 6, 0.9)
+        for c in (0.3, 0.9j, complex(B.eval(0.1))):
+            assert B.fiber_solve(np.array([c])) == [B.fiber_solve(c)]
+
+    def test_array_of_targets_matches_scalar_calls(self, monkeypatch):
+        # 0 takes the shortcut, B(0) = -0.25 is the critical value of the
+        # double root at 0, and only that target's iterates are merged
+        merged = []
+        merge = polyroots._merge_fiber
+
+        def counted(w, c, *args):
+            merged.append(c)
+            return merge(w, c, *args)
+
+        monkeypatch.setattr(polyroots, "_merge_fiber", counted)
+        B = FiniteBlaschkeProduct(1.0, (0.5, -0.5))
+        targets = [0.0, 0.3 + 0.2j, complex(B.eval(0.0))]
+        fibers = B.fiber_solve(np.array(targets))
+        assert merged == [-0.25]
+        assert fibers[2] == [0j, 0j]
+        for c, fiber in zip(targets, fibers):
+            want = B.fiber_solve(c)
+            assert len(fiber) == len(want) == 2
+            assert max(abs(v - u) for v, u in zip(fiber, want)) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [NAN, complex(0.0, NAN), INF, 1.0, 0.6 + 0.8j, 1.5j])
+    def test_array_rejects_a_bad_target(self, bad):
+        B = FiniteBlaschkeProduct(1.0, (0.5, -0.3j))
+        with pytest.raises(ValueError):
+            B.fiber_solve(np.array([0.2, bad, 0.1j]))
+
 
 class TestConjugateBy:
     def test_identity_conjugation_is_noop(self):
@@ -360,3 +394,23 @@ _HULL = hyperbolic_convex_hull([0.1, 0.2j, -0.3])
 def test_nan_is_not_inside_the_disc(call):
     with pytest.raises(ValueError):
         call()
+
+
+_T = DiscAutomorphism(0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [_B.eval, _B.derivative, _B.log_derivative, _B.boundary_derivative_modulus,
+     lambda z: automorphism_eval(_T, z)],
+    ids=["eval", "derivative", "log-derivative", "boundary-derivative-modulus", "automorphism-eval"],
+)
+@pytest.mark.parametrize(
+    "points",
+    [NAN, complex(NAN, 0.1), INF, complex(0.1, -INF), np.array([0.1, NAN]), np.array([[0.2j, INF]])],
+    ids=["nan", "nan-real-part", "inf", "inf-imaginary-part", "array-nan", "array-inf"],
+)
+def test_non_finite_points_raise_value_error(call, points):
+    # a typed error, not NaN out and a RuntimeWarning
+    with pytest.raises(ValueError):
+        call(points)

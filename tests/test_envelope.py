@@ -205,3 +205,31 @@ def test_fiber_in_envelope(B, target, percent, turn, offset):
     except TYPED:
         return
     assert fiber_error(B, c, fiber) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(products(), st.lists(st.tuples(st.sampled_from(("anywhere", "critical value")), st.integers(0, 99),
+                                      st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-12, 1e-10, 1e-8))),
+                            min_size=1, max_size=6))
+def test_batched_fibers_in_envelope(B, draws):
+    """One fiber_solve call on a batch of envelope targets, as in
+    test_fiber_in_envelope: each target's fiber must pass the oracle."""
+    cs = None
+    targets = []
+    for target, percent, turn, offset in draws:
+        c = percent / 100 * np.exp(2j * np.pi * turn)
+        if target == "critical value":
+            try:
+                cs = cs or B.critical_points()
+            except TYPED:
+                return
+            p = min((p for p, _ in cs.interior), key=abs)
+            c = complex(O.blaschke(B.zeros, B.gamma, np.array([p]))[0]) + offset * np.exp(2j * np.pi * turn)
+        targets.append(c)
+    try:
+        fibers = B.fiber_solve(np.array(targets))
+    except TYPED:
+        return
+    assert len(fibers) == len(targets)
+    for c, fiber in zip(targets, fibers):
+        assert fiber_error(B, c, fiber) is None

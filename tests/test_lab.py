@@ -239,6 +239,11 @@ class TestValence:
             inside = sum(1 for v in B.fiber_solve(w) if abs(v) < radius)
             assert rep.valence == inside == 3
 
+    def test_given_fiber_gives_the_same_radius(self):
+        B = random_product(np.random.default_rng(78), 4, 0.8)
+        w = 0.3 - 0.2j
+        assert default_valence_radius(B, w, B.fiber_solve(w)) == default_valence_radius(B, w)
+
     def test_invariants(self):
         B = FiniteBlaschkeProduct.monomial(3)
         rep = valence(B, 0.2 + 0.1j, 0.95, 2048)
@@ -284,6 +289,21 @@ class TestSeparation:
         B = FiniteBlaschkeProduct(1.0, (0.5,))
         with pytest.raises(InvalidAnnulusError):
             separation_estimate(B, 0.4, 8)
+
+    def test_all_fibers_in_one_solve(self, monkeypatch):
+        # the base points' fibers share one Aberth run, not one run each
+        calls = []
+        solve = FiniteBlaschkeProduct.fiber_solve
+
+        def counted(self, c):
+            calls.append(np.shape(c))
+            return solve(self, c)
+
+        monkeypatch.setattr(FiniteBlaschkeProduct, "fiber_solve", counted)
+        B = random_product(np.random.default_rng(4), 5, 0.8)
+        est = separation_estimate(B, max(abs(z) for z in B.zeros) + 0.05, 32)
+        assert est.delta > 0
+        assert calls == [(32,)]
 
 
 class TestDensityFamilies:
