@@ -3,7 +3,7 @@
 A product of order n is gamma * prod_k (z_k - z)/(1 - conj(z_k) z) with all
 zeros z_k strictly inside the disc and |gamma| = 1.  The zero multiset plus
 gamma is the only stored representation: values and derivatives are
-accumulated factor by factor over the zeros, vectorized over the points.
+accumulated factor by factor over the zeros, on fixed-size blocks of points.
 Critical points and fibers are found by `polyroots` from the distinct zeros
 and this product-rule pass, without expanding any polynomial; this module
 splits off the symbolic critical points of repeated zeros and checks what
@@ -41,6 +41,27 @@ FIBER_EVAL_TOL = 1e-8
 # gamma recovery probes for conjugated products; the second is used when the
 # first sits on a zero of the target
 GAMMA_PROBES = (0j, 0.37 + 0.11j)
+# Points per evaluation block: a block's complex temporaries (128 KB) stay in
+# cache and below numpy's 256 KB threshold for reusing temporaries in place,
+# which can swap a complex multiply's operands and so its last bit.
+_BLOCK = 8192
+
+
+def _by_blocks(body):
+    """body(self, zz), an array or a tuple of them, computed on consecutive
+    blocks of _BLOCK points of the flattened zz into outputs of zz's shape."""
+    def walk(self, zz):
+        if zz.size <= _BLOCK:
+            return body(self, zz)
+        flat, outs = zz.reshape(-1), None
+        for i in range(0, flat.size, _BLOCK):
+            part = body(self, flat[i:i + _BLOCK])
+            parts = part if isinstance(part, tuple) else (part,)
+            outs = outs or [np.empty(zz.shape, dtype=complex) for _ in parts]
+            for out, p in zip(outs, parts):
+                out.reshape(-1)[i:i + _BLOCK] = p
+        return tuple(outs) if isinstance(part, tuple) else outs[0]
+    return walk
 
 
 @dataclass(frozen=True)
@@ -106,12 +127,16 @@ class FiniteBlaschkeProduct:
         """Product-formula value at z (scalar or ndarray)."""
         zz, scalar = coerce_points(z)
         self._check_poles(zz)
+        return uncoerce(self._eval(zz), scalar)
+
+    __call__ = eval
+
+    @_by_blocks
+    def _eval(self, zz: np.ndarray) -> np.ndarray:
         out = np.full(zz.shape, self.gamma, dtype=complex)
         for z_k in self.zeros:
             out = out * (z_k - zz) / (1.0 - np.conj(z_k) * zz)
-        return uncoerce(out, scalar)
-
-    __call__ = eval
+        return out
 
     def derivative(self, z):
         """B'(z) by the product rule, accumulated alongside the product.
@@ -128,13 +153,17 @@ class FiniteBlaschkeProduct:
         """B'/B at z via the zero-by-zero sum; z must avoid zeros and poles."""
         zz, scalar = coerce_points(z)
         self._check_poles(zz)
+        return uncoerce(self._log_derivative(zz), scalar)
+
+    @_by_blocks
+    def _log_derivative(self, zz: np.ndarray) -> np.ndarray:
         out = np.zeros(zz.shape, dtype=complex)
         for z_k in self.zeros:
             gap = zz - z_k
             if np.any(np.abs(gap) <= ZERO_TOL):
                 raise ZeroProximityError(f"log derivative undefined at the zero {z_k}")
             out = out + (1.0 - abs(z_k) ** 2) / ((1.0 - np.conj(z_k) * zz) * gap)
-        return uncoerce(out, scalar)
+        return out
 
     def boundary_derivative_modulus(self, theta):
         """|B'(exp(i theta))| = sum_k (1 - |z_k|^2) / |exp(i theta) - z_k|^2.
@@ -197,6 +226,7 @@ class FiniteBlaschkeProduct:
             )
         return CriticalSet(tuple(interior), tuple(exterior))
 
+    @_by_blocks
     def _value_and_derivative(self, zz: np.ndarray):
         """(B, B') at the points zz by the product rule, in one pass."""
         val = np.full(zz.shape, self.gamma, dtype=complex)

@@ -267,10 +267,10 @@ def fatou_quotient(B: FiniteBlaschkeProduct, z) -> float:
     z = complex(z)
     if not abs(z) < 1.0:
         raise ValueError("quotient is defined for interior points only")
-    bz = B.eval(z)
+    bz, dz = B._value_and_derivative(np.asarray(z))
     if abs(bz) >= 1.0 - 1e-13:
         raise BoundaryProximityError("1 - |B(z)|^2 underflows this close to the circle")
-    return (1.0 - abs(z) ** 2) * abs(B.derivative(z)) / (1.0 - abs(bz) ** 2)
+    return float((1.0 - abs(z) ** 2) * abs(dz) / (1.0 - abs(bz) ** 2))
 
 
 def fatou_limit_scan(B: FiniteBlaschkeProduct, radii, angles: int) -> list:
@@ -286,10 +286,10 @@ def fatou_limit_scan(B: FiniteBlaschkeProduct, radii, angles: int) -> list:
     out = []
     for r in radii:
         pts = r * np.exp(1j * thetas)
-        bz = B.eval(pts)
+        bz, dz = B._value_and_derivative(pts)
         if np.any(np.abs(bz) >= 1.0 - 1e-13):
             raise BoundaryProximityError(f"|B| reaches the circle at radius {r}")
-        q = (1.0 - r * r) * np.abs(B.derivative(pts)) / (1.0 - np.abs(bz) ** 2)
+        q = (1.0 - r * r) * np.abs(dz) / (1.0 - np.abs(bz) ** 2)
         out.append((r, float(np.min(q))))
     return out
 
@@ -322,13 +322,13 @@ def valence(B: FiniteBlaschkeProduct, w, radius: float, samples: int = 4096) -> 
     def attempt(n):
         thetas = 2.0 * np.pi * np.arange(n) / n
         z = radius * np.exp(1j * thetas)
-        bz = B.eval(z)
+        bz, dz = B._value_and_derivative(z)
         gap = float(np.min(np.abs(bz - w)))
         if gap <= 1e-6:
             raise ContourThroughFiberError(
                 f"contour |z|={radius} passes within {gap} of the fiber of {w}"
             )
-        integrand = z * B.derivative(z) / (bz - w)
+        integrand = z * dz / (bz - w)
         return complex(np.mean(integrand))
 
     integral = attempt(samples)

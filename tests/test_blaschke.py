@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from blaschkelab import (
     valence,
 )
 from blaschkelab import polyroots
+from blaschkelab.blaschke import _BLOCK
 
 NAN = float("nan")
 INF = float("inf")
@@ -150,6 +153,72 @@ class TestLogDerivative:
         B = FiniteBlaschkeProduct(1.0, (0.5,))
         with pytest.raises(ZeroProximityError):
             B.log_derivative(0.5)
+
+
+class TestBlockedEvaluation:
+    """Arrays longer than one block are evaluated block by block."""
+
+    METHODS = ("eval", "derivative", "log_derivative")
+
+    @staticmethod
+    def grid(rng, n):
+        return 0.99 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_values_do_not_depend_on_array_size(self, method):
+        rng = np.random.default_rng(64)
+        B = random_product(rng, 64, 0.9)
+        grid = self.grid(rng, 3 * _BLOCK + 5)
+        f = getattr(B, method)
+        full = f(grid)
+        for piece in (777, _BLOCK):
+            pieces = [f(grid[i:i + piece]) for i in range(0, grid.size, piece)]
+            assert np.array_equal(np.concatenate(pieces), full)
+        assert np.array_equal(f(grid.reshape(47, 523)), full.reshape(47, 523))
+        assert np.array_equal(f(grid[::2]), full[::2])
+        empty = f(grid[:0].reshape(0, 4))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0, 4)
+
+    def test_log_derivative_checks_the_last_block(self):
+        rng = np.random.default_rng(3)
+        B = random_product(rng, 8, 0.9)
+        grid = self.grid(rng, 3 * _BLOCK + 5)
+        B.log_derivative(grid)
+        grid[-1] = B.zeros[5]
+        with pytest.raises(ZeroProximityError):
+            B.log_derivative(grid)
+
+    def test_derivative_at_a_zero_in_the_third_block(self):
+        rng = np.random.default_rng(128)
+        B = random_product(rng, 128, 0.9)
+        grid = self.grid(rng, 3 * _BLOCK + 5)
+        at = 2 * _BLOCK + 100
+        k = 0
+        a_k = B.zeros[k]
+        grid[at] = a_k
+        # as in test_product_rule_at_high_order: b_k'(a_k) = -1/(1 - |a_k|^2)
+        others = np.delete(np.array(B.zeros), k)
+        expected = (B.gamma * np.prod((others - a_k) / (1.0 - np.conj(others) * a_k))
+                    * (-1.0 / (1.0 - abs(a_k) ** 2)))
+        assert abs(B.derivative(grid)[at] - expected) <= 1e-12 * abs(expected)
+
+    # peak allocation over the returned array's bytes: derivative keeps B and
+    # B' for all points, the others one array; whole-array temporaries for
+    # every zero would take 4 (eval, log_derivative) and 7 (derivative)
+    @pytest.mark.parametrize("method,bound", [("eval", 2.0), ("derivative", 3.5),
+                                              ("log_derivative", 2.0)])
+    def test_memory_stays_near_the_output(self, method, bound):
+        rng = np.random.default_rng(64)
+        B = random_product(rng, 64, 0.9)
+        grid = self.grid(rng, 10 ** 5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = getattr(B, method)(grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * out.nbytes
 
 
 class TestBoundaryDerivative:
