@@ -7,8 +7,9 @@ accumulated factor by factor over the zeros, on fixed-size blocks of points.
 Critical points and fibers are found by `polyroots` from the distinct zeros
 and this product-rule pass, without expanding any polynomial; this module
 splits off the symbolic critical points of repeated zeros and checks what
-the root finder returns.  Instances are immutable and all operations are
-pure.
+the root finder returns.  `critical_sets` finds the critical points of many
+products in shared Aberth runs, and `critical_points` is its one-product
+case.  Instances are immutable and all operations are pure.
 
 Evaluation is defined on the whole plane minus the poles 1/conj(z_k); the
 self-map guarantees (|B| < 1 inside, |B| = 1 on the circle) hold on the
@@ -30,7 +31,7 @@ from .errors import (
     ZeroProximityError,
 )
 from .moebius import DiscAutomorphism, automorphism_eval, automorphism_inverse
-from .polyroots import critical_roots, fiber_roots
+from .polyroots import _Unresolved, critical_roots, fiber_roots
 
 ZERO_MARGIN = 1e-12
 POLE_TOL = 1e-14
@@ -194,37 +195,9 @@ class FiniteBlaschkeProduct:
         return a[head], np.bincount(first, minlength=a.size)[head].astype(float)
 
     def critical_points(self) -> CriticalSet:
-        """All zeros of B', split into interior and exterior points.
-
-        Repeated zeros of B contribute critical points symbolically: a zero
-        of multiplicity m is a critical point of multiplicity m - 1 (and so
-        is its reflection).  The remaining ones are the zeros of the secular
-        sum S(z) = B'/B = sum_k m_k (1-|u_k|^2) / ((1-conj(u_k) z)(z-u_k)) over
-        the g distinct zeros u_k: g - 1 inside the disc, found by Aberth
-        iteration started next to the zeros, and their reflections outside,
-        which enter the coupling without being iterated.  Iterates that
-        rounding cannot tell apart from a multiple root are merged, and a
-        point whose error bound reaches the origin is exactly 0.
-        """
-        u, m = self._distinct_zeros()
-        interior: list = [(complex(x), int(k) - 1) for x, k in zip(u, m) if k >= 2]
-        if len(u) >= 2:
-            for loc, mult in critical_roots(u, m):
-                if abs(abs(loc) - 1.0) < CIRCLE_BAND:
-                    raise CircleStraddleError(
-                        f"critical point {loc} straddles the unit circle"
-                    )
-                interior.append((loc, mult))
-
-        interior.sort(key=lambda cm: (cm[0].real, cm[0].imag))
-        exterior = [(1.0 / p.conjugate(), m) for p, m in interior if p != 0]
-        exterior.sort(key=lambda cm: (cm[0].real, cm[0].imag))
-        count = sum(m for _, m in interior)
-        if count != self.order - 1:
-            raise NonConvergenceError(
-                f"found {count} interior critical points, expected {self.order - 1}"
-            )
-        return CriticalSet(tuple(interior), tuple(exterior))
+        """All zeros of B', split into interior and exterior points: the one
+        entry of `critical_sets([self])`."""
+        return critical_sets([self])[0]
 
     @_by_blocks
     def _value_and_derivative(self, zz: np.ndarray):
@@ -255,8 +228,11 @@ class FiniteBlaschkeProduct:
         todo = [t for t, x in enumerate(targets) if x != 0]
         if todo:
             cs = cc.ravel()[todo]
-            found = fiber_roots(np.array(self.zeros), cs, self._value_and_derivative,
-                                self._distinct_zeros, FIBER_EVAL_TOL)
+            try:
+                found = fiber_roots(np.array(self.zeros), cs, self._value_and_derivative,
+                                    self._distinct_zeros, FIBER_EVAL_TOL)
+            except _Unresolved as exc:
+                raise exc.renamed("targets", todo) from None
             for t, sols in zip(todo, found):
                 for w in sols:
                     if not abs(w) < 1.0:
@@ -294,3 +270,62 @@ class FiniteBlaschkeProduct:
         target_val = automorphism_eval(outer, self.eval(automorphism_eval(inner, probe)))
         base = FiniteBlaschkeProduct(1.0, new_zeros).eval(probe)
         return FiniteBlaschkeProduct(target_val / base, new_zeros)
+
+
+def critical_sets(products) -> list:
+    """The CriticalSet of each product, in order: all zeros of B', split into
+    interior and exterior points.
+
+    Repeated zeros of B contribute critical points symbolically: a zero of
+    multiplicity m is a critical point of multiplicity m - 1 (and so is its
+    reflection).  The remaining ones are the zeros of the secular sum
+    S(z) = B'/B = sum_k m_k (1-|u_k|^2) / ((1-conj(u_k) z)(z-u_k)) over the g
+    distinct zeros u_k: g - 1 inside the disc, found by Aberth iteration
+    started next to the zeros, and their reflections outside, which enter
+    the coupling without being iterated.  Iterates that rounding cannot tell
+    apart from a multiple root are merged, and a point whose error bound
+    reaches the origin is exactly 0.
+
+    Products with the same g share one Aberth run, a row each, in chunks of
+    at most _BLOCK // g**2 rows so that the (roots x zeros) temporaries stay
+    the size of an evaluation block.  Every product is solved before any is
+    checked.  Raises NonConvergenceError, naming the products, when a root
+    is still moving after the sweep cap.
+    """
+    products = list(products)
+    distinct = [B._distinct_zeros() for B in products]
+    by_count: dict = {}
+    for i, (u, _) in enumerate(distinct):
+        if len(u) >= 2:
+            by_count.setdefault(len(u), []).append(i)
+    found: list = [[] for _ in products]
+    for g, members in by_count.items():
+        step = max(1, _BLOCK // g ** 2)
+        for start in range(0, len(members), step):
+            chunk = members[start:start + step]
+            u = np.array([distinct[i][0] for i in chunk])
+            m = np.array([distinct[i][1] for i in chunk])
+            try:
+                roots = critical_roots(u, m)
+            except _Unresolved as exc:
+                raise exc.renamed("products", chunk) from None
+            for i, pts in zip(chunk, roots):
+                found[i] = pts
+    return [_critical_set(B, u, m, pts) for B, (u, m), pts in zip(products, distinct, found)]
+
+
+def _critical_set(B: FiniteBlaschkeProduct, u, m, found) -> CriticalSet:
+    """B's CriticalSet from its distinct zeros u, multiplicities m and the
+    interior zeros `found` of its secular sum, checked."""
+    interior: list = [(complex(x), int(k) - 1) for x, k in zip(u, m) if k >= 2]
+    for loc, mult in found:
+        if abs(abs(loc) - 1.0) < CIRCLE_BAND:
+            raise CircleStraddleError(f"critical point {loc} straddles the unit circle")
+        interior.append((loc, mult))
+    interior.sort(key=lambda cm: (cm[0].real, cm[0].imag))
+    exterior = [(1.0 / p.conjugate(), k) for p, k in interior if p != 0]
+    exterior.sort(key=lambda cm: (cm[0].real, cm[0].imag))
+    count = sum(k for _, k in interior)
+    if count != B.order - 1:
+        raise NonConvergenceError(f"found {count} interior critical points, expected {B.order - 1}")
+    return CriticalSet(tuple(interior), tuple(exterior))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blaschke import FiniteBlaschkeProduct
+from .blaschke import FiniteBlaschkeProduct, critical_sets
 from .errors import (
     CircleStraddleError,
     ContourThroughFiberError,
@@ -286,13 +286,12 @@ def _serialize_product(B: FiniteBlaschkeProduct) -> dict:
 
 
 def _suite_hull(trials: int, rng, config: RunConfig):
+    # all products are drawn, then solved in one batch, then checked in order
+    products = [random_product(rng, int(rng.integers(2, 9)), 0.9) for _ in range(trials)]
     checked = 0
-    for _ in range(trials):
-        order = int(rng.integers(2, 9))
-        B = random_product(rng, order, 0.9)
-        cs = B.critical_points()
+    for B, cs in zip(products, critical_sets(products)):
         hull = hyperbolic_convex_hull(B.zeros)
-        if sum(m for _, m in cs.interior) != order - 1:
+        if sum(m for _, m in cs.interior) != B.order - 1:
             return False, {"checked": checked}, {"reason": "interior count", **_serialize_product(B)}
         interior_pts = [p for p, m in cs.interior for _ in range(m)]
         for p, m in cs.interior:
@@ -466,6 +465,17 @@ def cmd_verify(args, config: RunConfig, out) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _trial_count(text: str) -> int:
+    """--trials: a positive integer, since no trials would check nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blaschke-lab",
@@ -494,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_trial_count, default=None)
     p.add_argument("--seed", type=int, default=None)
 
     return parser

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .blaschke import FiniteBlaschkeProduct
+from .blaschke import FiniteBlaschkeProduct, critical_sets
 from .errors import (
     ContourThroughFiberError,
     BoundaryProximityError,
@@ -390,19 +390,21 @@ def density_family(a, b, exponent_pairs) -> list:
     A zero of multiplicity m contributes the known critical point of
     multiplicity m - 1 at itself; the one remaining interior critical point
     c is extracted and must be distinguishable from a and b, otherwise an
-    ExtractionAmbiguityError is raised.
+    ExtractionAmbiguityError is raised.  The critical points of all pairs
+    are found in one `critical_sets` call.
     """
     a, b = complex(a), complex(b)
     if abs(a - b) <= MATCH_TOL:
         raise ValueError("base points must be distinct")
+    pairs = list(exponent_pairs)
+    if any(m < 1 or n < 1 for m, n in pairs):
+        raise ValueError("exponents must be positive")
+    # two distinct zeros each: all pairs share one Aberth run
+    products = [FiniteBlaschkeProduct(1.0, (a,) * m + (b,) * n) for m, n in pairs]
     out = []
-    for m, n in exponent_pairs:
-        if m < 1 or n < 1:
-            raise ValueError("exponents must be positive")
-        B = FiniteBlaschkeProduct(1.0, (a,) * m + (b,) * n)
-        interior = list(B.critical_points().interior)
+    for (m, n), cs in zip(pairs, critical_sets(products)):
         remaining = []
-        for p, mult in interior:
+        for p, mult in cs.interior:
             if abs(p - a) <= MATCH_TOL:
                 mult -= m - 1
             elif abs(p - b) <= MATCH_TOL:

@@ -5,12 +5,14 @@ cost O(order) per point and never expand a polynomial: critical points are
 the zeros of the secular sum S = B'/B over the distinct zeros (only the
 interior ones are iterated; their reflections 1/conj(w) enter the coupling),
 and the fiber of c is the root set of Q (B - c), Q = prod_k (1 - conj(a_k) w),
-with B and B' from the caller's product-rule pass; the fibers of many
-targets share one iteration, a row of roots per target.  A root stops once
-its residual is within the rounding bound of its evaluation, and roots that
-rounding cannot tell apart are merged into one multiple root, target by
-target.  The module works on plain arrays; `critical_roots` and
-`fiber_roots` are its only entry points.
+with B and B' from the caller's product-rule pass.  One iteration solves
+many root sets side by side, a row of roots each: the critical points of
+many products with the same number of distinct zeros, or the fibers of many
+targets under one product.  A root stops once its residual is within the
+rounding bound of its evaluation, and roots that rounding cannot tell apart
+are merged into one multiple root, row by row.  A run that gives up names
+the rows still moving.  The module works on plain arrays; `critical_roots`
+and `fiber_roots` are its only entry points.
 """
 
 from __future__ import annotations
@@ -24,16 +26,33 @@ _EPS = np.finfo(float).eps
 _MAX_SWEEPS = 200
 
 
-def critical_roots(u: np.ndarray, m: np.ndarray) -> list:
-    """(point, multiplicity) for the interior zeros of S = B'/B.
+class _Unresolved(NonConvergenceError):
+    """NonConvergenceError of an Aberth run, naming the rows still moving."""
 
-    u holds the g >= 2 distinct zeros of B and m their multiplicities; the
-    multiplicities of the returned points sum to g - 1.  Iterates that
+    def __init__(self, count: int, total: int, rows: list, name: str = "rows"):
+        super().__init__(f"{count} of {total} roots unresolved after {_MAX_SWEEPS} Aberth sweeps "
+                         f"({name} {', '.join(map(str, rows))})")
+        self.count, self.total, self.rows = count, total, rows
+
+    def renamed(self, name: str, labels) -> "_Unresolved":
+        """The same failure with row r reported as `name` labels[r]."""
+        return _Unresolved(self.count, self.total, [labels[r] for r in self.rows], name)
+
+
+def critical_roots(u: np.ndarray, m: np.ndarray) -> list:
+    """(point, multiplicity) for the interior zeros of S = B'/B, one list per
+    row of u.
+
+    Each row of the (rows x g) array u holds the g >= 2 distinct zeros of one
+    product and the same row of m their multiplicities; the multiplicities
+    of a row's points sum to g - 1.  All rows share one Aberth run, and a
+    single row runs the arithmetic of a solve of its own.  Iterates that
     rounding cannot tell apart from a multiple root are merged, and a point
     whose error bound reaches the origin is exactly 0.  Raises
-    NonConvergenceError when a root is still moving after the sweep cap.
+    NonConvergenceError, naming the rows, when a root is still moving after
+    the sweep cap.
     """
-    found = _aberth(_critical_starts(u), lambda z, rows: _critical_newton(z, u, m), True)
+    found = _aberth(_critical_starts(u), lambda z, rows: _critical_newton(z, u[rows], m[rows]), True)
     return _merge_critical(found, u, m)
 
 
@@ -74,7 +93,10 @@ def fiber_roots(a: np.ndarray, c: np.ndarray, value_and_derivative, distinct_zer
     if merge.size:
         u, m = distinct_zeros()
     for t in merge:
-        out[t] = _merge_fiber(w[t], complex(c[t]), links[t], value_and_derivative, u, m, tol)
+        try:
+            out[t] = _merge_fiber(w[t], complex(c[t]), links[t], value_and_derivative, u, m, tol)
+        except _Unresolved as exc:
+            raise exc.renamed("rows", [t]) from None
     return out
 
 
@@ -82,11 +104,12 @@ def _aberth(z, newton, mirrored: bool) -> np.ndarray:
     """Simultaneous Aberth iteration for the roots of f from the starts z.
 
     z is one row of starts or a (rows x n) array; each row is a root set of
-    its own (one fiber target) and couples only within itself.  Each sweep
-    calls newton(z, rows) on the live roots z of all rows, flattened, which
-    returns (f/f', |f|, rounding bound of f).  A root stops, after taking
-    that sweep's correction, once |f| is within its rounding bound, and stays
-    in the coupling.
+    its own (one product or one fiber target) and couples only within
+    itself.  Each sweep calls newton(z, rows) on the live roots z of all
+    rows, flattened, which returns (f/f', |f|, rounding bound of f).  A root
+    stops, after taking that sweep's correction, once |f| is within its
+    rounding bound, and stays in the coupling.  Raises NonConvergenceError,
+    naming the rows of the roots still moving, after _MAX_SWEEPS sweeps.
     With `mirrored` the roots of f are the iterates together with their
     reflections 1/conj(z): those enter the coupling without being iterated,
     and an iterate that leaves the disc is replaced by its reflection.
@@ -120,9 +143,7 @@ def _aberth(z, newton, mirrored: bool) -> np.ndarray:
             live = live[~done]
             if live.size == 0:
                 return z
-    raise NonConvergenceError(
-        f"{live.size} of {z.size} roots unresolved after {_MAX_SWEEPS} Aberth sweeps"
-    )
+    raise _Unresolved(live.size, z.size, sorted(set((live // n).tolist())))
 
 
 def _secular(z, u, m):
@@ -158,15 +179,18 @@ def _critical_newton(z, u, m):
 
 
 def _next_to(points: np.ndarray) -> np.ndarray:
-    """Starts 1e-3 off the given points, at distinct angles, so that
-    coincident or nearly coincident points give distinct starts."""
-    return points + 1e-3 * np.exp(2j * np.pi * np.arange(len(points)) / len(points))
+    """Starts 1e-3 off the given points (along the last axis), at distinct
+    angles, so that coincident or nearly coincident points give distinct
+    starts."""
+    n = points.shape[-1]
+    return points + 1e-3 * np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def _critical_starts(u: np.ndarray) -> np.ndarray:
-    """Starts for the g - 1 interior critical points: next to the distinct
-    zeros, all but the one nearest the origin."""
-    return _next_to(u[sorted(range(len(u)), key=lambda k: abs(u[k]))[1:]])
+    """Starts for the g - 1 interior critical points of each row of u: next
+    to the row's distinct zeros, all but the one nearest the origin."""
+    keep = [sorted(range(len(row)), key=lambda k: abs(row[k]))[1:] for row in u]
+    return _next_to(u[np.arange(len(u))[:, None], keep])
 
 
 def _fiber_starts(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -226,7 +250,9 @@ def _rounding_groups(links) -> list:
 
 
 def _merge_critical(z, u, m) -> list:
-    """(point, multiplicity) for the converged interior iterates z.
+    """(point, multiplicity) for the converged interior iterates z, one list
+    per row of the (rows x n) array z; the same rows of u and m hold the
+    distinct zeros and multiplicities.
 
     The iterates of one group (`_rounding_groups`) are one multiple point at
     their centroid, which rounding perturbs far less than the members.  A
@@ -234,19 +260,30 @@ def _merge_critical(z, u, m) -> list:
     group) reaches the origin is reported as exactly 0, and all such points
     as one.
     """
-    _, ds, noise, _ = _secular(z, u, m)
+    rows, n = z.shape
+    # one row is indexed, not repeated, as in _aberth: a single product
+    # rounds exactly as a solve of its own
+    uu, mm = (u[0], m[0]) if rows == 1 else (np.repeat(u, n, axis=0), np.repeat(m, n, axis=0))
+    _, ds, noise, _ = _secular(z.reshape(-1), uu, mm)
+    ds, noise = ds.reshape(z.shape), noise.reshape(z.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = noise / np.abs(ds)
-    out: dict = {}
-    for idx in _rounding_groups(_links(z, noise, ds)):
-        if len(idx) == 1:
-            loc, bound = complex(z[idx[0]]), err[idx[0]]
-        else:
-            loc = complex(np.mean(z[idx]))
-            bound = max(abs(z[i] - loc) for i in idx)
-        loc = 0j if abs(loc) <= bound else loc
-        out[loc] = out.get(loc, 0) + len(idx)
-    return list(out.items())
+    links = _links(z, noise, ds)
+    # every root links to itself; a row without other links has no group
+    alone = links.sum(axis=(1, 2)) == n
+    found = []
+    for r in range(rows):
+        out: dict = {}
+        for idx in [[i] for i in range(n)] if alone[r] else _rounding_groups(links[r]):
+            if len(idx) == 1:
+                loc, bound = complex(z[r, idx[0]]), err[r, idx[0]]
+            else:
+                loc = complex(np.mean(z[r, idx]))
+                bound = max(abs(z[r, i] - loc) for i in idx)
+            loc = 0j if abs(loc) <= bound else loc
+            out[loc] = out.get(loc, 0) + len(idx)
+        found.append(list(out.items()))
+    return found
 
 
 def _merge_fiber(w: np.ndarray, c: complex, links, value_and_derivative, u, m, tol: float) -> list:
@@ -265,8 +302,8 @@ def _merge_fiber(w: np.ndarray, c: complex, links, value_and_derivative, u, m, t
             continue
         loc = complex(np.mean(w[idx]))
         if len(idx) == 2:
-            crit = _aberth(np.array([loc]), lambda z, rows: _critical_newton(z, u, m), False)
-            (loc, _), = _merge_critical(crit, u, m)
+            crit = _aberth(np.array([[loc]]), lambda z, rows: _critical_newton(z, u, m), False)
+            (loc, _), = _merge_critical(crit, u[None], m[None])[0]
         elif abs(loc) <= max(abs(w[i] - loc) for i in idx):
             loc = 0j
         p = np.array([loc])

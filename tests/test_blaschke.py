@@ -7,10 +7,12 @@ from blaschkelab import (
     DiscAutomorphism,
     FiniteBlaschkeProduct,
     Geodesic,
+    NonConvergenceError,
     PoleProximityError,
     ZeroProximityError,
     automorphism_eval,
     automorphism_limit_bound,
+    critical_sets,
     fatou_quotient,
     hull_contains,
     hyperbolic_convex_hull,
@@ -19,7 +21,7 @@ from blaschkelab import (
     random_product,
     valence,
 )
-from blaschkelab import polyroots
+from blaschkelab import blaschke, polyroots
 from blaschkelab.blaschke import _BLOCK
 
 NAN = float("nan")
@@ -336,6 +338,59 @@ class TestCriticalPoints:
         assert fib == [0j, 0j]
 
 
+def assert_same_critical_set(got, want):
+    """Same points and multiplicities in the same order, points within 4 eps."""
+    for mine, theirs in ((got.interior, want.interior), (got.exterior, want.exterior)):
+        assert [m for _, m in mine] == [m for _, m in theirs]
+        for (p, _), (q, _) in zip(mine, theirs):
+            assert abs(p - q) <= 4 * np.finfo(float).eps * max(1.0, abs(q))
+
+
+class TestCriticalSets:
+    def test_matches_per_product_calls(self):
+        rng = np.random.default_rng(11)
+        products = [random_product(rng, order, 0.9) for order in range(1, 17)]
+        products += [
+            FiniteBlaschkeProduct(1.0, (0.5, 0.5, 0.5, -0.3j, -0.3j, 0.2)),
+            FiniteBlaschkeProduct(1j, (0j, 0.4 + 0.1j, -0.6, 0.1j)),
+            FiniteBlaschkeProduct(1.0, (0j, 0j, 0.7, -0.7)),
+            FiniteBlaschkeProduct.monomial(5),
+        ]
+        products += [random_product(rng, int(rng.integers(2, 9)), 0.95) for _ in range(20)]
+        batch = critical_sets(products)
+        assert len(batch) == len(products)
+        for B, cs in zip(products, batch):
+            assert_same_critical_set(cs, B.critical_points())
+
+    def test_empty(self):
+        assert critical_sets([]) == []
+
+    def test_order_64_batch_is_split_into_chunks(self, monkeypatch):
+        rows = []
+        solve = blaschke.critical_roots
+
+        def counted(u, m):
+            rows.append(len(u))
+            return solve(u, m)
+
+        rng = np.random.default_rng(64)
+        products = [random_product(rng, 64, 0.9) for _ in range(5)]
+        want = [B.critical_points() for B in products]
+        monkeypatch.setattr(blaschke, "critical_roots", counted)
+        got = critical_sets(products)
+        # at most _BLOCK // 64**2 = 2 products per run
+        assert rows == [2, 2, 1]
+        for cs, ref in zip(got, want):
+            assert_same_critical_set(cs, ref)
+
+    def test_non_convergence_names_the_products(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        products = [FiniteBlaschkeProduct(1.0, (0.3,)), random_product(rng, 5, 0.9), random_product(rng, 5, 0.9)]
+        monkeypatch.setattr(polyroots, "_MAX_SWEEPS", 1)
+        with pytest.raises(NonConvergenceError, match=r"unresolved after 1 Aberth sweeps \(products 1, 2\)"):
+            critical_sets(products)
+
+
 class TestFiberSolve:
     def test_square_fiber(self):
         B = FiniteBlaschkeProduct.monomial(2)
@@ -390,6 +445,13 @@ class TestFiberSolve:
             want = B.fiber_solve(c)
             assert len(fiber) == len(want) == 2
             assert max(abs(v - u) for v, u in zip(fiber, want)) <= 1e-14
+
+    def test_non_convergence_names_the_targets(self, monkeypatch):
+        # target 0 takes the shortcut, so the run's rows 0 and 1 are targets 1 and 2
+        B = random_product(np.random.default_rng(12), 5, 0.9)
+        monkeypatch.setattr(polyroots, "_MAX_SWEEPS", 1)
+        with pytest.raises(NonConvergenceError, match=r"\(targets 1, 2\)$"):
+            B.fiber_solve(np.array([0.0, 0.3, 0.5j]))
 
     @pytest.mark.parametrize("bad", [NAN, complex(0.0, NAN), INF, 1.0, 0.6 + 0.8j, 1.5j])
     def test_array_rejects_a_bad_target(self, bad):

@@ -261,6 +261,29 @@ class TestVerify:
         rc, _ = run(["verify", "--suite", "everything"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("suite", ["hull", "converge", "separation"])
+    @pytest.mark.parametrize("trials", ["-3", "0"])
+    def test_trials_below_one_usage_error(self, suite, trials):
+        rc, out = run(["verify", "--suite", suite, "--trials", trials])
+        assert rc == EXIT_USAGE
+        assert out == ""
+
+    def test_hull_solves_each_seed_in_one_batch(self, monkeypatch):
+        import blaschkelab.cli as cli
+
+        calls = []
+        real = cli.critical_sets
+
+        def counted(products):
+            calls.append(len(products))
+            return real(products)
+
+        monkeypatch.setattr(cli, "critical_sets", counted)
+        for seed in ("7", "1"):
+            rc, _ = run(["verify", "--suite", "hull", "--seed", seed])
+            assert rc == EXIT_OK
+        assert calls == [200, 200]
+
     def test_failure_path_serializes_instance(self, monkeypatch):
         # an impossible tolerance forces the failure branch: exit 1 plus a
         # replayable serialized instance in the summary

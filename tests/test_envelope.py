@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
-from blaschkelab import CircleStraddleError, FiniteBlaschkeProduct, NonConvergenceError
+from blaschkelab import CircleStraddleError, FiniteBlaschkeProduct, NonConvergenceError, critical_sets
 
 # the checks' tolerances, as in bench/workloads.py
 CRIT_STEP = 1e-6       # Newton distance of a critical point to a zero of B', x max(1, |p|)
@@ -152,11 +152,12 @@ def test_critical_point_between_a_close_pair_stays_simple():
 
 
 @st.composite
-def products(draw):
-    """A product inside the envelope: orders 2-128, zeros up to radius 0.99,
-    spread out, in pairs 1e-9..1e-4 apart, or repeated up to multiplicity 8
-    with or without a repeated zero at the origin."""
-    order = draw(st.integers(2, 128))
+def products(draw, max_order=128):
+    """A product inside the envelope: orders 2-128 (or up to max_order),
+    zeros up to radius 0.99, spread out, in pairs 1e-9..1e-4 apart, or
+    repeated up to multiplicity 8 with or without a repeated zero at the
+    origin."""
+    order = draw(st.integers(2, max_order))
     radius = draw(st.floats(0.05, 0.99))
     layout = draw(st.sampled_from(("spread", "pairs", "repeated")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -184,6 +185,23 @@ def test_critical_points_in_envelope(B):
     except TYPED:
         return
     assert critical_error(B, cs) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(products(max_order=32), min_size=1, max_size=8))
+def test_batched_critical_points_in_envelope(batch):
+    """One critical_sets call on a batch of envelope products: each product's
+    critical set must pass the oracle.  Orders stop at 32 to keep the
+    oracle's cost, cubic in the order, small: test_critical_points_in_envelope
+    covers orders up to 128 one product at a time, and
+    test_blaschke.py::TestCriticalSets a batch of order 64."""
+    try:
+        sets = critical_sets(batch)
+    except TYPED:
+        return
+    assert len(sets) == len(batch)
+    for B, cs in zip(batch, sets):
+        assert critical_error(B, cs) is None
 
 
 @settings(max_examples=40, deadline=None)

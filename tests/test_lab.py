@@ -307,6 +307,21 @@ class TestSeparation:
 
 
 class TestDensityFamilies:
+    def test_all_pairs_in_one_solve(self, monkeypatch):
+        import blaschkelab.lab as lab
+
+        calls = []
+        real = lab.critical_sets
+
+        def counted(products):
+            calls.append(len(products))
+            return real(products)
+
+        monkeypatch.setattr(lab, "critical_sets", counted)
+        out = density_family(0.5, -0.3 + 0.2j, [(m, n) for m in range(1, 5) for n in range(1, 5)])
+        assert len(out) == 16
+        assert calls == [16]
+
     def test_symmetric_midpoint(self):
         ((c, res),) = density_family(0.5, -0.5, [(1, 1)])
         assert abs(c) <= 1e-12
