@@ -4,8 +4,9 @@ A product of order n is gamma * prod_k (z_k - z)/(1 - conj(z_k) z) with all
 zeros z_k strictly inside the disc and |gamma| = 1.  The zero multiset plus
 gamma is the only stored representation: values and derivatives are
 accumulated factor by factor over the zeros, on fixed-size blocks of points.
-Critical points and fibers are found by `polyroots` from the distinct zeros
-and this product-rule pass, without expanding any polynomial; this module
+Critical points and fibers are found by `polyroots` from the zeros and
+gamma, without expanding any polynomial; the solver's module holds the one
+block size, _BLOCK, that evaluation here shares with it.  This module
 splits off the symbolic critical points of repeated zeros and checks what
 the root finder returns.  `critical_sets` finds the critical points of many
 products in shared Aberth runs, and `critical_points` is its one-product
@@ -31,7 +32,7 @@ from .errors import (
     ZeroProximityError,
 )
 from .moebius import DiscAutomorphism, automorphism_eval, automorphism_inverse
-from .polyroots import _Unresolved, critical_roots, fiber_roots
+from .polyroots import _BLOCK, _Unresolved, critical_roots, fiber_roots
 
 ZERO_MARGIN = 1e-12
 POLE_TOL = 1e-14
@@ -42,10 +43,6 @@ FIBER_EVAL_TOL = 1e-8
 # gamma recovery probes for conjugated products; the second is used when the
 # first sits on a zero of the target
 GAMMA_PROBES = (0j, 0.37 + 0.11j)
-# Points per evaluation block: a block's complex temporaries (128 KB) stay in
-# cache and below numpy's 256 KB threshold for reusing temporaries in place,
-# which can swap a complex multiply's operands and so its last bit.
-_BLOCK = 8192
 
 
 def _by_blocks(body):
@@ -217,8 +214,9 @@ class FiniteBlaschkeProduct:
         A scalar c gives one list sorted by (re, im), an array one such list
         per target (flattened).  Solutions are the roots of Q (B - c),
         Q(w) = prod_k (1 - conj(z_k) w), found by Aberth iteration on B - c
-        with B and B' from the product rule, all targets in one run; for
-        c = 0 they are the zeros.  Multiplicities are expanded.
+        with B, B' and Q'/Q from one blocked pass over (roots x zeros), all
+        targets in one run; for c = 0 they are the zeros.  Multiplicities
+        are expanded.
         """
         cc = coerce_points(c)[0]
         targets = cc.ravel().tolist()
@@ -229,20 +227,21 @@ class FiniteBlaschkeProduct:
         if todo:
             cs = cc.ravel()[todo]
             try:
-                found = fiber_roots(np.array(self.zeros), cs, self._value_and_derivative,
-                                    self._distinct_zeros, FIBER_EVAL_TOL)
+                found = fiber_roots(np.array(self.zeros), self.gamma, cs, self._distinct_zeros, FIBER_EVAL_TOL)
             except _Unresolved as exc:
                 raise exc.renamed("targets", todo) from None
-            for t, sols in zip(todo, found):
-                for w in sols:
-                    if not abs(w) < 1.0:
-                        raise NonConvergenceError(f"fiber point {w} of {targets[t]} escaped the open disc")
-                fibers[t] = sols
-            defect = np.abs(self.eval(np.array(sum(found, []))) - np.repeat(cs, self.order))
-            bad = defect > np.repeat([FIBER_EVAL_TOL * (1.0 + abs(targets[t])) for t in todo], self.order)
+            escaped = ~(np.abs(found) < 1.0)
+            if escaped.any():
+                t, k = np.argwhere(escaped)[0]
+                raise NonConvergenceError(f"fiber point {complex(found[t, k])} of {targets[todo[t]]} "
+                                          "escaped the open disc")
+            defect = np.abs(self.eval(found) - cs[:, None])
+            bad = defect > FIBER_EVAL_TOL * (1.0 + np.abs(cs[:, None]))
             if bad.any():
-                t, k = divmod(int(np.argmax(np.where(bad, defect, -1.0))), self.order)
-                raise NonConvergenceError(f"fiber point {found[t][k]} of {cs[t]} fails re-evaluation")
+                t, k = np.unravel_index(np.argmax(np.where(bad, defect, -1.0)), bad.shape)
+                raise NonConvergenceError(f"fiber point {complex(found[t, k])} of {cs[t]} fails re-evaluation")
+            for t, sols in zip(todo, found.tolist()):
+                fibers[t] = sols
         out = [sorted(f, key=lambda w: (w.real, w.imag)) for f in fibers]
         return out[0] if cc.ndim == 0 else out
 

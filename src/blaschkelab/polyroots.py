@@ -5,7 +5,8 @@ cost O(order) per point and never expand a polynomial: critical points are
 the zeros of the secular sum S = B'/B over the distinct zeros (only the
 interior ones are iterated; their reflections 1/conj(w) enter the coupling),
 and the fiber of c is the root set of Q (B - c), Q = prod_k (1 - conj(a_k) w),
-with B and B' from the caller's product-rule pass.  One iteration solves
+with B, B' and Q'/Q from one pass over (points x zeros) blocks of the zeros
+and gamma.  One iteration solves
 many root sets side by side, a row of roots each: the critical points of
 many products with the same number of distinct zeros, or the fibers of many
 targets under one product.  A root stops once its residual is within the
@@ -22,6 +23,12 @@ import numpy as np
 from .errors import NonConvergenceError
 
 _EPS = np.finfo(float).eps
+# Elements per block: the points of an evaluation block in `blaschke`, the
+# (points x zeros) entries of a block of the fiber pass and of a chunk of
+# `critical_sets`.  A block's complex temporaries (128 KB) stay in cache and
+# below numpy's 256 KB threshold for reusing temporaries in place, which can
+# swap a complex multiply's operands and so its last bit.
+_BLOCK = 8192
 # sweeps after which an Aberth root that has not met its stopping test is a failure
 _MAX_SWEEPS = 200
 
@@ -56,48 +63,95 @@ def critical_roots(u: np.ndarray, m: np.ndarray) -> list:
     return _merge_critical(found, u, m)
 
 
-def fiber_roots(a: np.ndarray, c: np.ndarray, value_and_derivative, distinct_zeros, tol: float) -> list:
-    """For each nonzero target c_t of the 1-D array c, all len(a) roots of
-    Q (B - c_t), multiplicities expanded, unsorted: one list per target.
+def fiber_roots(a: np.ndarray, gamma: complex, c: np.ndarray, distinct_zeros, tol: float) -> np.ndarray:
+    """All len(a) roots of Q (B - c_t) for each nonzero target c_t of the
+    1-D array c, multiplicities expanded, unsorted: a (targets x len(a))
+    array.
 
-    a holds the zeros of B with repeats, value_and_derivative(w) returns
-    (B(w), B'(w)), and distinct_zeros() the distinct zeros and their
-    multiplicities; it is called once, and only when some iterates merge.
-    All targets share one Aberth run.  A group of one target's iterates that
-    rounding cannot tell apart moves onto the multiple root under it only
-    where each lies within the reach by which a double root splits at
-    re-evaluation tolerance tol.  Raises NonConvergenceError when a root is
-    still moving after the sweep cap.
+    B = gamma prod_k (a_k - w)/(1 - conj(a_k) w) over the zeros a with
+    repeats; distinct_zeros() returns the distinct zeros and their
+    multiplicities, and is called once, only when some iterates merge.  All
+    targets share one Aberth run, and each sweep takes B, B' and Q'/Q of all
+    live roots from one blocked pass (`_product_terms`).  A group of one
+    target's iterates that rounding cannot tell apart moves onto the
+    multiple root under it (`_merge_fiber`): a repeated zero for a target
+    next to 0, otherwise a critical point, where each iterate lies within
+    the reach by which a double root splits at re-evaluation tolerance
+    tol.  Raises
+    NonConvergenceError, naming the rows, when a root is still moving after
+    the sweep cap.
     """
-    ac = a.conj()
-    # Python's abs: the array np.abs can differ in the last bit
-    absc = np.array([abs(complex(x)) for x in c])
+    absc = np.abs(c)
 
     def terms(w, abs_c):
-        """(B, B', rounding bound of B - c) at the points w, with |c| = abs_c."""
-        val, der = value_and_derivative(w)
-        return val, der, 2.0 * _EPS * (len(a) * np.abs(val) + abs_c + np.abs(w) * np.abs(der))
+        """(B, B', Q'/Q, rounding bound of B - c) at the points w, with |c| = abs_c."""
+        val, der, qlog = _product_terms(w, a, gamma)
+        return val, der, qlog, 2.0 * _EPS * (len(a) * np.abs(val) + abs_c + np.abs(w) * np.abs(der))
 
     def newton(w, rows):
-        val, der, noise = terms(w, absc[rows])
+        val, der, qlog, noise = terms(w, absc[rows])
         f = val - c[rows]
-        qlog = np.sum(ac / (ac * w[:, None] - 1.0), axis=1)
         return f / (der + f * qlog), np.abs(f), noise
 
     w = _aberth(_fiber_starts(a, c), newton, False)
-    _, der, noise = terms(w, absc[:, None])
-    links = _links(w, noise, der)
-    out = w.tolist()
+    _, der, _, noise = terms(w, absc[:, None])
+    radius = _radius(noise, der)
+    links = _links(w, radius)
     # every root links to itself; a target with more links has a group
     merge = (links.sum(axis=(1, 2)) > len(a)).nonzero()[0]
     if merge.size:
         u, m = distinct_zeros()
     for t in merge:
         try:
-            out[t] = _merge_fiber(w[t], complex(c[t]), links[t], value_and_derivative, u, m, tol)
+            w[t] = _merge_fiber(w[t], complex(c[t]), links[t], radius[t], a, gamma, u, m, tol)
         except _Unresolved as exc:
             raise exc.renamed("rows", [t]) from None
-    return out
+    return w
+
+
+def _product_terms(w, a, gamma):
+    """(B, B', Q'/Q) at the points w, arrays of w's shape, for
+    B = gamma prod_k b_k, b_k = (a_k - w)/(1 - conj(a_k) w), over the zeros a
+    with repeats, and Q = prod_k (1 - conj(a_k) w).
+
+    One pass over (points x zeros) blocks of at most _BLOCK elements, with
+    two complex divisions per element: with r_k = 1/(1 - conj(a_k) w) and
+    e_k = a_k - w, B = gamma prod_k e_k r_k, B' = B S with
+    S = B'/B = -sum_k (1-|a_k|^2) r_k/e_k, and Q'/Q = -sum_k conj(a_k) r_k.
+    Where B S is not finite (w on a zero, or a factor underflows), B' is the
+    product rule at the vanishing factor, b_k' = -(1-|a_k|^2) r_k^2 times
+    the other factors, which is exact there.
+    """
+    flat = w.reshape(-1)
+    val, der, qlog = (np.empty(flat.shape, dtype=complex) for _ in range(3))
+    step = max(1, _BLOCK // len(a))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(0, flat.size, step):
+            val[i:i + step], der[i:i + step], qlog[i:i + step] = _product_block(flat[i:i + step, None], a, gamma)
+    return val.reshape(w.shape), der.reshape(w.shape), qlog.reshape(w.shape)
+
+
+def _product_block(x, a, gamma):
+    """`_product_terms` at the (points x 1) array x, as one block; a call per
+    block frees its temporaries before the next block makes its own."""
+    ac, t = np.conj(a), 1.0 - np.abs(a) ** 2
+    # three (points x zeros) temporaries, reused in place
+    r = np.multiply(ac, x)
+    r = np.divide(1.0, np.subtract(1.0, r, out=r), out=r)
+    e = np.subtract(a, x)
+    f = np.multiply(e, r)
+    val = gamma * np.prod(f, axis=1)
+    qlog = -np.multiply(ac, r, out=f).sum(axis=1)
+    der = -val * np.divide(np.multiply(t, r, out=r), e, out=e).sum(axis=1)
+    bad = ~np.isfinite(der)
+    if bad.any():
+        # b_k' at the factor nearest 0 times the other factors
+        r = 1.0 / (1.0 - ac * x[bad])
+        f = (a - x[bad]) * r
+        rows, k = np.arange(len(f)), np.abs(f).argmin(axis=1)
+        f[rows, k] = -t[k] * r[rows, k] ** 2
+        der[bad] = gamma * np.prod(f, axis=1)
+    return val, der, qlog
 
 
 def _aberth(z, newton, mirrored: bool) -> np.ndarray:
@@ -194,45 +248,49 @@ def _critical_starts(u: np.ndarray) -> np.ndarray:
 
 
 def _fiber_starts(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Starts for the fibers of the targets c, one row each.
+    """Starts for the fibers of the nonzero targets c, one row each.
 
     The fiber point that leaves the zero a_k as the target grows from 0 to c
     stays near it while |a_k| exceeds the radius r at which the circle mean
     of log|B|, sum_k log max(r, |a_k|) (Jensen), reaches log|c|; the others
     start evenly spread on that circle.
     """
-    a = a[sorted(range(len(a)), key=lambda k: abs(a[k]))]
+    a = a[np.argsort(np.abs(a), kind="stable")]
     mods = np.abs(a)
     logs = np.log(np.where(mods > 0.0, mods, 1e-300))
     above = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
     # the circle mean at r = |a_j| (sorted) is j log|a_j| + sum_{i >= j} log|a_i|
     means = np.arange(len(a)) * logs + above[:-1]
-    out = np.tile(_next_to(a), (len(c), 1))
-    for row, target in zip(out, c):
-        # scalar log: the array one can differ in the last bit
-        log_c = np.log(abs(complex(target)))
-        k = int(np.sum(means < log_c))
-        if k:
-            r = np.exp((log_c - above[k]) / k)
-            row[:k] = r * np.exp(1j * (2.0 * np.pi * np.arange(k) / k + 0.4))
-    return out
+    log_c = np.log(np.abs(c))[:, None]
+    # the first k sorted zeros of each target lie inside its circle
+    k = (means < log_c).sum(axis=1, keepdims=True)
+    j = np.arange(len(a))
+    kk = np.maximum(k, 1)
+    r = np.exp(np.where(k > 0, (log_c - above[k]) / kk, 0.0))
+    return np.where(j < k, r * np.exp(1j * (2.0 * np.pi * j / kk + 0.4)), _next_to(a))
 
 
-def _links(z, noise, d1) -> np.ndarray:
-    """(..., n, n) flags: which converged roots z (..., n) of f rounding
-    cannot tell apart within each row; noise and d1 = f' are given at z.
-
-    A root z_i is uncertain by about noise_i/|f'(z_i)|, the first-order
-    radius within which |f| stays below its rounding bound.  Near an m-fold
-    root q, f ~ c (z - q)^m, the parts that rounding splits it into stop
-    where |f| meets that bound, so each lies within m noise/|f'| of q and its
-    neighbours on that ring within 2 pi noise/|f'|.  Roots closer than 8
-    times the sum of their radii are linked: two simple roots that close
-    have |f| <= 4 noise at their midpoint, as near a double root.
-    """
+def _radius(noise, d1) -> np.ndarray:
+    """noise/|f'| at converged roots of f, with noise the rounding bound of f
+    and d1 = f' there; 0 where that is not finite."""
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = noise / np.abs(d1)
-    radius = np.where(np.isfinite(radius), radius, 0.0)
+    return np.where(np.isfinite(radius), radius, 0.0)
+
+
+def _links(z, radius) -> np.ndarray:
+    """(..., n, n) flags: which converged roots z (..., n) of f rounding
+    cannot tell apart within each row, given their `_radius`.
+
+    A root z_i is uncertain by about its radius noise_i/|f'(z_i)|, the
+    first-order radius within which |f| stays below its rounding bound.
+    Near an m-fold root q, f ~ c (z - q)^m, the parts that rounding splits
+    it into stop where |f| meets that bound, so each lies within m
+    noise/|f'| of q and its neighbours on that ring within 2 pi noise/|f'|.
+    Roots closer than 8 times the sum of their radii are linked: two simple
+    roots that close have |f| <= 4 noise at their midpoint, as near a double
+    root.
+    """
     return np.abs(z[..., :, None] - z[..., None, :]) <= 8.0 * (radius[..., :, None] + radius[..., None, :])
 
 
@@ -268,7 +326,7 @@ def _merge_critical(z, u, m) -> list:
     ds, noise = ds.reshape(z.shape), noise.reshape(z.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = noise / np.abs(ds)
-    links = _links(z, noise, ds)
+    links = _links(z, _radius(noise, ds))
     # every root links to itself; a row without other links has no group
     alone = links.sum(axis=(1, 2)) == n
     found = []
@@ -286,33 +344,43 @@ def _merge_critical(z, u, m) -> list:
     return found
 
 
-def _merge_fiber(w: np.ndarray, c: complex, links, value_and_derivative, u, m, tol: float) -> list:
-    """One target's converged fiber iterates w, with multiple roots merged.
+def _merge_fiber(w: np.ndarray, c: complex, links, radius, a, gamma, u, m, tol: float) -> np.ndarray:
+    """One target's converged fiber iterates w, with multiple roots merged;
+    radius holds their `_radius`.
 
     The iterates of one group (`_rounding_groups` of their `_links`) are one
-    multiple root on a critical point p: the centroid, refined by Newton's
-    method on S (distinct zeros u, multiplicities m) for a double root, where
-    p is a simple critical point.  They move onto p only where each lies
-    within the reach sqrt(2 tol (1+|c|)/|B''(p)|) by which the re-evaluation
-    tolerance lets a double root split.
+    multiple root.  A group of k iterates, each within 8 k radii of a
+    repeated zero u_j of multiplicity at least k (the ring on which rounding
+    splits a k-fold root, as in `_links`), is that zero, for a target within
+    rounding of 0; it moves onto u_j.  Any other group is a critical point
+    p: its centroid, refined by Newton's method on S (distinct zeros u,
+    multiplicities m) for a double root, where p is a simple critical point.
+    It moves onto p only where each iterate lies within the reach
+    sqrt(2 tol (1+|c|)/|B''(p)|) by which the re-evaluation tolerance lets a
+    double root split.
     """
-    out = w.tolist()
+    out = w.copy()
     for idx in _rounding_groups(links):
-        if len(idx) < 2:
+        k = len(idx)
+        if k < 2:
             continue
         loc = complex(np.mean(w[idx]))
-        if len(idx) == 2:
+        # S has a pole at a repeated zero, so Newton's method on S cannot
+        # refine a group there
+        j = int(np.argmin(np.where(m >= k, np.abs(u - loc), np.inf)))
+        if m[j] >= k and all(abs(w[i] - u[j]) <= 8.0 * k * radius[i] for i in idx):
+            out[idx] = u[j]
+            continue
+        if k == 2:
             crit = _aberth(np.array([[loc]]), lambda z, rows: _critical_newton(z, u, m), False)
             (loc, _), = _merge_critical(crit, u[None], m[None])[0]
         elif abs(loc) <= max(abs(w[i] - loc) for i in idx):
             loc = 0j
-        p = np.array([loc])
-        val, der_p = value_and_derivative(p)
-        s, ds, _, _ = _secular(p, u, m)
+        val, der_p, _ = _product_terms(np.array([loc]), a, gamma)
+        s, ds, _, _ = _secular(np.array([loc]), u, m)
         # B'' = B' S + B S'
         with np.errstate(divide="ignore"):
             allowed = np.sqrt(2.0 * tol * (1.0 + abs(c)) / abs(der_p[0] * s[0] + val[0] * ds[0]))
         if all(abs(w[i] - loc) <= allowed for i in idx):
-            for i in idx:
-                out[i] = loc
+            out[idx] = loc
     return out

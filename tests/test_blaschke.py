@@ -391,6 +391,58 @@ class TestCriticalSets:
             critical_sets(products)
 
 
+class TestProductTerms:
+    """The fiber solver's blocked (points x zeros) pass, polyroots._product_terms,
+    against the product-rule loop of FiniteBlaschkeProduct."""
+
+    @staticmethod
+    def product(order, kind):
+        rng = np.random.default_rng([order, len(kind)])
+        zeros = [rand_disc(rng, 0.9) for _ in range(order)]
+        if kind == "zero at 0":
+            zeros[0] = 0j
+        elif kind == "repeated":
+            zeros[1:4] = [zeros[0]] * len(zeros[1:4])
+        return FiniteBlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), zeros), rng
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("kind", ["simple", "zero at 0", "repeated"])
+    def test_matches_the_product_rule(self, order, kind):
+        B, rng = self.product(order, kind)
+        a = np.array(B.zeros)[:, None]
+        # inside and outside the disc, off the circle and the poles 1/conj(a_k)
+        z = np.sqrt(rng.uniform(0.0, 1.5 ** 2, size=400)) * np.exp(2j * np.pi * rng.uniform(size=400))
+        keep = (np.min(np.abs(1.0 - np.conj(a) * z), axis=0) > 1e-3) & (np.abs(np.abs(z) - 1.0) > 1e-3)
+        z = z[keep & (np.min(np.abs(z - a), axis=0) > 1e-3)]
+        assert z.size > 300 and np.any(np.abs(z) > 1.0)
+        val, der, qlog = polyroots._product_terms(z, a[:, 0], B.gamma)
+        ref_val, ref_der = B._value_and_derivative(z)
+        # rounding is a few eps per zero of the size of the summands: |B| sum_k |t_k|
+        # for B' (as the benchmark's DERIV_SCALED), sum_k |conj(a_k) r_k| for Q'/Q
+        tol = 16 * np.finfo(float).eps * order
+        t = (1.0 - np.abs(a) ** 2) / ((1.0 - np.conj(a) * z) * (z - a))
+        q = np.conj(a) / (1.0 - np.conj(a) * z)
+        assert np.all(np.abs(val - ref_val) <= tol * np.abs(ref_val))
+        assert np.all(np.abs(der - ref_der) <= tol * np.abs(ref_val) * np.sum(np.abs(t), axis=0))
+        assert np.all(np.abs(qlog + np.sum(q, axis=0)) <= tol * np.sum(np.abs(q), axis=0))
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 64, 128])
+    @pytest.mark.parametrize("kind", ["simple", "zero at 0", "repeated"])
+    def test_exact_on_a_zero(self, order, kind):
+        # B S is not finite there: B' is b_k'(a_k) times the other factors,
+        # and 0 on a repeated zero, as the product rule gives
+        B, _ = self.product(order, kind)
+        on = np.array([B.zeros[0], 0.1 + 0.2j])
+        val, der, _ = polyroots._product_terms(on, np.array(B.zeros), B.gamma)
+        ref_val, ref_der = B._value_and_derivative(on)
+        assert val[0] == ref_val[0] == 0
+        if kind == "repeated" and order >= 2:
+            assert der[0] == ref_der[0] == 0
+        else:
+            assert der[0] != 0 and abs(der[0] - ref_der[0]) <= 16 * np.finfo(float).eps * order * abs(ref_der[0])
+        assert np.isfinite(der[1])
+
+
 class TestFiberSolve:
     def test_square_fiber(self):
         B = FiniteBlaschkeProduct.monomial(2)
@@ -445,6 +497,23 @@ class TestFiberSolve:
             want = B.fiber_solve(c)
             assert len(fiber) == len(want) == 2
             assert max(abs(v - u) for v, u in zip(fiber, want)) <= 1e-14
+
+    def test_memory_of_a_batch(self):
+        # the first sweep couples 12,800 roots within their rows of 64, about
+        # 40 MB of (roots x roots) arrays; an unblocked (roots x zeros) pass
+        # for B, B' and Q'/Q would add about 28 MB more
+        rng = np.random.default_rng(200)
+        B = random_product(rng, 64, 0.9)
+        targets = 0.8 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fibers = B.fiber_solve(targets)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(fibers) == 200
+        assert peak <= 48e6
 
     def test_non_convergence_names_the_targets(self, monkeypatch):
         # target 0 takes the shortcut, so the run's rows 0 and 1 are targets 1 and 2

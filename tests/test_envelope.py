@@ -97,6 +97,43 @@ def critical_value_input(rng, order, spread):
     return FiniteBlaschkeProduct(complex(np.exp(2j * np.pi * rng.uniform())), zeros), p
 
 
+class TestTinyTargets:
+    """Targets next to 0, whose fibers lie within rounding of the zeros."""
+
+    @staticmethod
+    def product(order, at_origin, double=False):
+        rng = np.random.default_rng([order, 17])
+        zeros = [complex(z) for z in _disc(rng, order, 0.9)]
+        if at_origin:
+            zeros[0] = 0j
+        if double:
+            zeros[1] = zeros[0]
+        return FiniteBlaschkeProduct(complex(np.exp(2j * np.pi * rng.uniform())), zeros)
+
+    @pytest.mark.parametrize("c", [1e-20, 1e-100, 1e-300, 1e-300j])
+    @pytest.mark.parametrize("at_origin", [False, True])
+    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64, 128])
+    def test_simple_zeros(self, order, at_origin, c):
+        B = self.product(order, at_origin)
+        assert fiber_error(B, c, B.fiber_solve(c)) is None
+
+    @pytest.mark.parametrize("c", [1e-32, 1e-100, 1e-300, 1e-300j])
+    @pytest.mark.parametrize("order", [5, 16, 64, 128])
+    def test_double_zero(self, order, c):
+        B = self.product(order, False, double=True)
+        assert fiber_error(B, c, B.fiber_solve(c)) is None
+
+    def test_double_zero_is_a_double_point(self):
+        # S has a pole at the double zero, so no critical point refines the
+        # two iterates that rounding cannot tell apart there
+        u = 0.3 + 0.2j
+        B = FiniteBlaschkeProduct(1.0, (u, u, -0.5j, 0.6))
+        for c in (1e-32, 1e-100, 1e-300):
+            fiber = B.fiber_solve(c)
+            assert fiber_error(B, c, fiber) is None
+            assert fiber.count(u) == 2
+
+
 class TestFixedInputs:
     """The benchmark's fixed inputs: products of order 64 and 128, zeros in
     pairs 1e-9..1e-4 apart, and a fiber at and next to a critical value."""
