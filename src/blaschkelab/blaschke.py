@@ -3,7 +3,8 @@
 A product of order n is gamma * prod_k (z_k - z)/(1 - conj(z_k) z) with all
 zeros z_k strictly inside the disc and |gamma| = 1.  The zero multiset plus
 gamma is the only stored representation: values and derivatives are
-accumulated factor by factor over the zeros, on fixed-size blocks of points.
+multiplied out over a common denominator for each chunk of _CHUNK zeros and
+divided in once per chunk, on fixed-size blocks of points.
 Critical points and fibers are found by `polyroots` from the zeros and
 gamma, without expanding any polynomial; the solver's module holds the one
 block size, _BLOCK, that evaluation here shares with it.  This module
@@ -21,6 +22,7 @@ B(z) * conj(B(1/conj(z))) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,20 +47,44 @@ FIBER_EVAL_TOL = 1e-8
 GAMMA_PROBES = (0j, 0.37 + 0.11j)
 
 
+# A chunk multiplies 8 factors z_k - z and 1 - conj(z_k) z (16 for B', B'/B)
+# before it divides.  A factor is at most 1 + |z|, and one that divides is
+# above 1e-14 (the pole check, and the zero check of B'/B), so up to
+# |z| = _FAR no product overflows and no denominator underflows (1e-224 to
+# 1e199).  Beyond _FAR a point takes one zero per chunk, and B' and B'/B
+# divide by one factor at a time.  These bounds fix both constants.
+_CHUNK, _FAR = 8, 2.0 ** 40
+
+
 def _by_blocks(body):
-    """body(self, zz), an array or a tuple of them, computed on consecutive
-    blocks of _BLOCK points of the flattened zz into outputs of zz's shape."""
+    """body(self, zz, chunk), an array or a tuple of them, computed on
+    consecutive blocks of _BLOCK points of the flattened zz into outputs of
+    zz's shape.  A point takes chunks of _CHUNK zeros, or of one beyond
+    _FAR, whatever the other points of its array."""
+    def put(shape, pieces):
+        outs = None
+        for index, part in pieces:
+            parts = part if isinstance(part, tuple) else (part,)
+            outs = outs or [np.empty(shape, dtype=complex) for _ in parts]
+            for out, p in zip(outs, parts):
+                out.reshape(-1)[index] = p
+        return tuple(outs) if isinstance(part, tuple) else outs[0]
+
+    def split(self, zz):
+        far = np.abs(zz) > _FAR
+        count = np.count_nonzero(far)
+        if count in (0, zz.size):
+            # a scalar runs as a numpy scalar, whose arithmetic skips the ufunc machinery
+            return body(self, zz[()] if zz.ndim == 0 else zz, 1 if count else _CHUNK)
+        flat, far = zz.reshape(-1), far.reshape(-1)
+        return put(zz.shape, [(~far, body(self, flat[~far], _CHUNK)), (far, body(self, flat[far], 1))])
+
     def walk(self, zz):
         if zz.size <= _BLOCK:
-            return body(self, zz)
-        flat, outs = zz.reshape(-1), None
-        for i in range(0, flat.size, _BLOCK):
-            part = body(self, flat[i:i + _BLOCK])
-            parts = part if isinstance(part, tuple) else (part,)
-            outs = outs or [np.empty(zz.shape, dtype=complex) for _ in parts]
-            for out, p in zip(outs, parts):
-                out.reshape(-1)[i:i + _BLOCK] = p
-        return tuple(outs) if isinstance(part, tuple) else outs[0]
+            return split(self, zz)
+        flat = zz.reshape(-1)
+        return put(zz.shape, ((slice(i, i + _BLOCK), split(self, flat[i:i + _BLOCK]))
+                              for i in range(0, flat.size, _BLOCK)))
     return walk
 
 
@@ -108,6 +134,16 @@ class FiniteBlaschkeProduct:
     def order(self) -> int:
         return len(self.zeros)
 
+    @cached_property
+    def _factors(self) -> tuple:
+        """(z_k, conj(z_k), 1 - |z_k|^2) for each zero z_k."""
+        return tuple((z, z.conjugate(), 1.0 - abs(z) ** 2) for z in self.zeros)
+
+    def _chunks(self, chunk: int) -> list:
+        """(first factor, the others) of each run of `chunk` zeros."""
+        f = self._factors
+        return [(f[i], f[i + 1:i + chunk]) for i in range(0, len(f), chunk)]
+
     def _check_poles(self, zz: np.ndarray) -> None:
         # Zeros satisfy |z_k| < 1 - ZERO_MARGIN, so on the closed disc
         # |1 - conj(z_k) z| >= 1 - |z_k| > POLE_TOL: only points outside the
@@ -130,10 +166,14 @@ class FiniteBlaschkeProduct:
     __call__ = eval
 
     @_by_blocks
-    def _eval(self, zz: np.ndarray) -> np.ndarray:
+    def _eval(self, zz: np.ndarray, chunk: int) -> np.ndarray:
+        """gamma prod N/D over the chunks, N = prod (z_k - z), D = prod (1 - conj(z_k) z)."""
         out = np.full(zz.shape, self.gamma, dtype=complex)
-        for z_k in self.zeros:
-            out = out * (z_k - zz) / (1.0 - np.conj(z_k) * zz)
+        for (a, c, _), rest in self._chunks(chunk):
+            num, den = a - zz, 1.0 - c * zz
+            for a, c, _ in rest:
+                num, den = num * (a - zz), den * (1.0 - c * zz)
+            out = out * num / den
         return out
 
     def derivative(self, z):
@@ -148,20 +188,42 @@ class FiniteBlaschkeProduct:
         return uncoerce(self._value_and_derivative(zz)[1], scalar)
 
     def log_derivative(self, z):
-        """B'/B at z via the zero-by-zero sum; z must avoid zeros and poles."""
+        """B'/B at z, the sum of (1 - |z_k|^2)/w_k with w_k = (1 - conj(z_k) z)(z - z_k);
+        z must avoid zeros and poles."""
         zz, scalar = coerce_points(z)
         self._check_poles(zz)
         return uncoerce(self._log_derivative(zz), scalar)
 
     @_by_blocks
-    def _log_derivative(self, zz: np.ndarray) -> np.ndarray:
+    def _log_derivative(self, zz: np.ndarray, chunk: int) -> np.ndarray:
+        """sum t_k/w_k, t_k = 1 - |z_k|^2, as one fraction over prod w_k per chunk."""
+        self._check_zero_proximity(zz)
         out = np.zeros(zz.shape, dtype=complex)
-        for z_k in self.zeros:
-            gap = zz - z_k
-            if np.any(np.abs(gap) <= ZERO_TOL):
-                raise ZeroProximityError(f"log derivative undefined at the zero {z_k}")
-            out = out + (1.0 - abs(z_k) ** 2) / ((1.0 - np.conj(z_k) * zz) * gap)
+        for (a, c, t), rest in self._chunks(chunk):
+            q, gap = 1.0 - c * zz, zz - a
+            # a lone factor keeps q and gap apart: at far points q * gap overflows
+            num, den = (t, q * gap) if rest else (t / q, gap)
+            for a, c, t in rest:
+                w = (1.0 - c * zz) * (zz - a)
+                num, den = num * w + t * den, den * w
+            out = out + num / den
         return out
+
+    @cached_property
+    def _real_parts(self) -> np.ndarray:
+        return np.sort(np.array(self.zeros).real)
+
+    def _check_zero_proximity(self, zz) -> None:
+        """ZeroProximityError where |z - z_k| <= ZERO_TOL, tested at the points
+        with a Re z_k within 2 ZERO_TOL of Re z (a margin for rounding)."""
+        lo = np.searchsorted(self._real_parts, zz.real - 2.0 * ZERO_TOL)
+        hi = np.searchsorted(self._real_parts, zz.real + 2.0 * ZERO_TOL, "right")
+        near = np.reshape(zz, -1)[np.reshape(lo < hi, -1)]
+        if near.size == 0:
+            return
+        for z_k in self.zeros:
+            if np.any(np.abs(near - z_k) <= ZERO_TOL):
+                raise ZeroProximityError(f"log derivative undefined at the zero {z_k}")
 
     def boundary_derivative_modulus(self, theta):
         """|B'(exp(i theta))| = sum_k (1 - |z_k|^2) / |exp(i theta) - z_k|^2.
@@ -197,16 +259,23 @@ class FiniteBlaschkeProduct:
         return critical_sets([self])[0]
 
     @_by_blocks
-    def _value_and_derivative(self, zz: np.ndarray):
-        """(B, B') at the points zz by the product rule, in one pass."""
+    def _value_and_derivative(self, zz: np.ndarray, chunk: int):
+        """(B, B') at the points zz by the product rule, in one pass: with N, D
+        as in _eval, a chunk's derivative is M/D**2, and each zero adds the
+        product rule's term, M <- M (z_k - z)(1 - conj(z_k) z) - t_k N D."""
         val = np.full(zz.shape, self.gamma, dtype=complex)
-        out = np.zeros(zz.shape, dtype=complex)
-        for z_k in self.zeros:
-            den = 1.0 - z_k.conjugate() * zz
-            b = (z_k - zz) / den
-            out = out * b - val * (1.0 - abs(z_k) ** 2) / den ** 2
+        der = np.zeros(zz.shape, dtype=complex)
+        for (a, c, t), rest in self._chunks(chunk):
+            num, den, m = a - zz, 1.0 - c * zz, -t
+            for a, c, t in rest:
+                e, q = a - zz, 1.0 - c * zz
+                m = m * e * q - t * num * den
+                num, den = num * e, den * q
+            r = 1.0 / den
+            b = num * r
+            der = der * b + val * (m * r) * r
             val = val * b
-        return val, out
+        return val, der
 
     def fiber_solve(self, c) -> list:
         """All order-many solutions of B(w) = c inside the disc (|c| < 1).

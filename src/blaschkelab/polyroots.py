@@ -84,9 +84,12 @@ def fiber_roots(a: np.ndarray, gamma: complex, c: np.ndarray, distinct_zeros, to
     absc = np.abs(c)
 
     def terms(w, abs_c):
-        """(B, B', Q'/Q, rounding bound of B - c) at the points w, with |c| = abs_c."""
+        """(B, B', Q'/Q, rounding bound of B - c) at the points w, with |c| = abs_c;
+        the bound's scale is floored at len(a) smallest normals, below which B
+        rounds by a fixed step."""
         val, der, qlog = _product_terms(w, a, gamma)
-        return val, der, qlog, 2.0 * _EPS * (len(a) * np.abs(val) + abs_c + np.abs(w) * np.abs(der))
+        scale = len(a) * np.abs(val) + abs_c + np.abs(w) * np.abs(der)
+        return val, der, qlog, 2.0 * _EPS * np.maximum(scale, len(a) * np.finfo(float).tiny)
 
     def newton(w, rows):
         val, der, qlog, noise = terms(w, absc[rows])

@@ -223,6 +223,128 @@ class TestBlockedEvaluation:
         assert peak <= bound * out.nbytes
 
 
+class TestChunkedEvaluation:
+    """eval, derivative and log_derivative take the zeros in chunks of
+    blaschke._CHUNK, one division per chunk; points beyond blaschke._FAR take
+    one zero per chunk."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def reference(B, z):
+        """(B, B', B'/B, |B| sum|t_k|, sum|t_k|) factor by factor, with
+        t_k = (1 - |a_k|^2)/((1 - conj(a_k) z)(z - a_k)); z must avoid the zeros."""
+        a = np.array(B.zeros)[:, None]
+        b = B.gamma * np.prod((a - z) / (1.0 - np.conj(a) * z), axis=0)
+        t = (1.0 - np.abs(a) ** 2) / ((1.0 - np.conj(a) * z) * (z - a))
+        s, size = np.sum(t, axis=0), np.sum(np.abs(t), axis=0)
+        return b, b * s, s, np.abs(b) * size, size
+
+    @pytest.mark.parametrize("order", [1, 7, 8, 9, 16, 17])
+    def test_matches_the_factor_by_factor_product(self, order):
+        rng = np.random.default_rng([order, 8])
+        B = random_product(rng, order, 0.9)
+        a = np.array(B.zeros)[:, None]
+        # inside and outside the disc, off the zeros and the poles 1/conj(a_k)
+        z = 3.0 * np.sqrt(rng.uniform(size=600)) * np.exp(2j * np.pi * rng.uniform(size=600))
+        z = z[(np.min(np.abs(1.0 - np.conj(a) * z), axis=0) > 1e-3) & (np.min(np.abs(z - a), axis=0) > 1e-3)]
+        b, d, s, d_scale, s_scale = self.reference(B, z)
+        assert np.all(np.abs(B.eval(z) - b) <= 1e-13 * np.abs(b))
+        assert np.all(np.abs(B.derivative(z) - d) <= 1e-13 * d_scale)
+        assert np.all(np.abs(B.log_derivative(z) - s) <= 1e-13 * s_scale)
+
+    @pytest.mark.parametrize("k", [0, 3, 7, 8, 12, 15, 16])
+    def test_derivative_at_a_zero_in_each_place_of_a_chunk(self, k):
+        # first, middle and last place of the first and second chunk, and a
+        # lone zero in the last; b_k'(a_k) = -1/(1 - |a_k|^2) times the others
+        B = random_product(np.random.default_rng(17), 17, 0.9)
+        a_k = B.zeros[k]
+        others = np.delete(np.array(B.zeros), k)
+        expected = (B.gamma * np.prod((others - a_k) / (1.0 - np.conj(others) * a_k))
+                    * (-1.0 / (1.0 - abs(a_k) ** 2)))
+        assert B.eval(a_k) == 0
+        assert abs(B.derivative(a_k) - expected) <= 1e-12 * abs(expected)
+        assert abs(B.derivative(np.array([0.1j, a_k]))[1] - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.filterwarnings("error")
+    def test_next_to_a_zero_of_multiplicity_eight(self):
+        # the eight equal factors fill one chunk, whose numerator is 1e-240
+        rest = (0.5 + 0.2j, -0.3j, 0.7)
+        B = FiniteBlaschkeProduct(1j, (0j,) * 8 + rest)
+        z = 1e-30 * np.exp(2j * np.pi * np.arange(8) / 8)
+        others = 1j * np.prod([(a - z) / (1.0 - np.conj(a) * z) for a in rest], axis=0)
+        assert np.all(np.abs(B.eval(z) - z ** 8 * others) <= 1e-14 * np.abs(z ** 8 * others))
+        # B' = 8 z^7 times the other factors, up to a relative 1e-30
+        der = B.derivative(z)
+        assert np.all(np.abs(der - 8 * z ** 7 * others) <= 1e-14 * np.abs(8 * z ** 7 * others))
+        w = 1e-11 * np.exp(2j * np.pi * np.arange(8) / 8)
+        s = self.reference(B, w)[2]
+        assert np.all(np.abs(B.log_derivative(w) - s) <= 1e-14 * np.abs(s))
+
+    @pytest.mark.parametrize("method", TestBlockedEvaluation.METHODS)
+    def test_far_points_leave_the_disc_points_alone(self, method):
+        rng = np.random.default_rng(9)
+        B = random_product(rng, 17, 0.9)
+        disc = TestBlockedEvaluation.grid(rng, 300)
+        far = 1e100 * np.exp(2j * np.pi * rng.uniform(size=100))
+        mixed = np.concatenate([disc, far])
+        rng.shuffle(mixed)
+        at_disc = np.isin(mixed, disc)
+        f = getattr(B, method)
+        out = f(mixed)
+        assert np.array_equal(out[at_disc], f(mixed[at_disc]))
+        assert np.array_equal(out[~at_disc], f(mixed[~at_disc]))
+        assert np.array_equal(np.sort_complex(out[at_disc]), np.sort_complex(f(disc)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("modulus", [1e3, 1e20, 1e100, 1e160])
+    @pytest.mark.parametrize("order", [1, 9, 64])
+    def test_far_points_satisfy_the_reflection_identities(self, order, modulus):
+        # B(z) conj(B(z*)) = 1, B'(z) = conj(B'(z*)) / (z^2 conj(B(z*))^2) and
+        # B'/B(z) = conj(S(z*)) / z^2 at z* = 1/conj(z), next to the origin
+        rng = np.random.default_rng([order, 3])
+        B = random_product(rng, order, 0.9)
+        z = modulus * np.exp(2j * np.pi * rng.uniform(size=16))
+        star = 1.0 / np.conj(z)
+        b, b_star = B.eval(z), B.eval(star)
+        d_ref = np.conj(B.derivative(star)) / np.conj(b_star) ** 2 / z / z
+        s_ref = np.conj(B.log_derivative(star)) / z / z
+        tol = 8 * order * self.EPS
+        # below 1e-308 a term rounds to a fixed step, which the later
+        # factors, each above 1 in modulus out here, grow by at most |B|
+        floor = 1e-320 * order * np.abs(b)
+        assert np.all(np.abs(b * np.conj(b_star) - 1.0) <= tol)
+        assert np.all(np.abs(B.derivative(z) - d_ref) <= tol * np.abs(d_ref) + floor)
+        assert np.all(np.abs(B.log_derivative(z) - s_ref) <= tol * np.abs(s_ref) + floor)
+
+    @pytest.mark.parametrize("order", [8, 64])
+    def test_a_scalar_agrees_with_the_same_point_in_an_array(self, order):
+        # numpy's scalar arithmetic rounds differently from its array loops,
+        # but never by more than rounding
+        rng = np.random.default_rng([order, 500])
+        B = random_product(rng, order, 0.9)
+        z = TestBlockedEvaluation.grid(rng, 500)
+        _, _, _, d_scale, s_scale = self.reference(B, z)
+        tol = 8 * order * self.EPS
+        for method, scale in (("eval", np.abs(B.eval(z))), ("derivative", d_scale),
+                              ("log_derivative", s_scale)):
+            f = getattr(B, method)
+            scalars = np.array([f(complex(x)) for x in z])
+            assert np.all(np.abs(scalars - f(z)) <= tol * scale), method
+
+    def test_zero_proximity_where_real_parts_tie(self):
+        B = FiniteBlaschkeProduct(1.0, (0.3 + 0.1j, -0.2j, 0.3 - 0.4j, 0.3 - 0.4j + 1e-9j))
+        for a in (0.3 + 0.1j, 0.3 - 0.4j):
+            for step in (5e-13, 5e-13j, -5e-13j, (3e-13 + 4e-13j)):
+                with pytest.raises(ZeroProximityError):
+                    B.log_derivative(a + step)
+                with pytest.raises(ZeroProximityError):
+                    B.log_derivative(np.array([0.5j, a + step, -0.5]))
+            for step in (2e-12, 2e-12j, -2e-12j):
+                assert np.isfinite(B.log_derivative(a + step))
+                assert np.all(np.isfinite(B.log_derivative(np.array([0.5j, a + step]))))
+
+
 class TestBoundaryDerivative:
     def test_monomial_gives_order(self):
         for n in (1, 2, 7):

@@ -110,9 +110,11 @@ class TestTinyTargets:
             zeros[1] = zeros[0]
         return FiniteBlaschkeProduct(complex(np.exp(2j * np.pi * rng.uniform())), zeros)
 
-    @pytest.mark.parametrize("c", [1e-20, 1e-100, 1e-300, 1e-300j])
+    # subnormal targets: the rounding bound of B - c would underflow to 0
+    # next to a zero at the origin without its floor
+    @pytest.mark.parametrize("c", [1e-20, 1e-100, 1e-300, 1e-300j, 1e-310, 5e-324])
     @pytest.mark.parametrize("at_origin", [False, True])
-    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64, 128])
+    @pytest.mark.parametrize("order", [1, 2, 5, 8, 16, 64, 128])
     def test_simple_zeros(self, order, at_origin, c):
         B = self.product(order, at_origin)
         assert fiber_error(B, c, B.fiber_solve(c)) is None
