@@ -173,7 +173,8 @@ class FiniteBlaschkeProduct:
             num, den = a - zz, 1.0 - c * zz
             for a, c, _ in rest:
                 num, den = num * (a - zz), den * (1.0 - c * zz)
-            out = out * num / den
+            # a lone far factor divides first: out * num can overflow there
+            out = out * (num / den) if chunk == 1 else out * num / den
         return out
 
     def derivative(self, z):

@@ -6,14 +6,18 @@ the zeros of the secular sum S = B'/B over the distinct zeros (only the
 interior ones are iterated; their reflections 1/conj(w) enter the coupling),
 and the fiber of c is the root set of Q (B - c), Q = prod_k (1 - conj(a_k) w),
 with B, B' and Q'/Q from one pass over (points x zeros) blocks of the zeros
-and gamma.  One iteration solves
-many root sets side by side, a row of roots each: the critical points of
-many products with the same number of distinct zeros, or the fibers of many
-targets under one product.  A root stops once its residual is within the
-rounding bound of its evaluation, and roots that rounding cannot tell apart
-are merged into one multiple root, row by row.  A run that gives up names
-the rows still moving.  The module works on plain arrays; `critical_roots`
-and `fiber_roots` are its only entry points.
+and gamma.  Critical points start next to the zeros.  A fiber point starts
+next to its zero if that lies outside the Jensen circle of c, and otherwise
+on that circle where arg B meets arg c, found from the argument of B
+sampled along it.  One iteration solves many root sets side by side, a row
+of roots each: the critical points of many products with the same number
+of distinct zeros, or the fibers of many targets under one product.  The
+coupling between a row's roots, like every (points x zeros) pass, runs in
+blocks of at most _BLOCK entries.  A root stops once its residual is within
+the rounding bound of its evaluation, and roots that rounding cannot tell
+apart are merged into one multiple root, row by row.  A run that gives up
+names the rows still moving.  The module works on plain arrays;
+`critical_roots` and `fiber_roots` are its only entry points.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from .errors import NonConvergenceError
 
 _EPS = np.finfo(float).eps
 # Elements per block: the points of an evaluation block in `blaschke`, the
-# (points x zeros) entries of a block of the fiber pass and of a chunk of
-# `critical_sets`.  A block's complex temporaries (128 KB) stay in cache and
-# below numpy's 256 KB threshold for reusing temporaries in place, which can
-# swap a complex multiply's operands and so its last bit.
+# (points x zeros) entries of a block of the fiber pass, of the fiber starts'
+# sampling and of a chunk of `critical_sets`, and the (roots x row) entries
+# of a block of the Aberth coupling.  A block's complex temporaries (128 KB)
+# stay in cache and below numpy's 256 KB threshold for reusing temporaries
+# in place, which can swap a complex multiply's operands and so its last bit.
 _BLOCK = 8192
 # sweeps after which an Aberth root that has not met its stopping test is a failure
 _MAX_SWEEPS = 200
@@ -71,51 +76,58 @@ def fiber_roots(a: np.ndarray, gamma: complex, c: np.ndarray, distinct_zeros, to
     B = gamma prod_k (a_k - w)/(1 - conj(a_k) w) over the zeros a with
     repeats; distinct_zeros() returns the distinct zeros and their
     multiplicities, and is called once, only when some iterates merge.  All
-    targets share one Aberth run, and each sweep takes B, B' and Q'/Q of all
-    live roots from one blocked pass (`_product_terms`).  A group of one
-    target's iterates that rounding cannot tell apart moves onto the
-    multiple root under it (`_merge_fiber`): a repeated zero for a target
-    next to 0, otherwise a critical point, where each iterate lies within
-    the reach by which a double root splits at re-evaluation tolerance
-    tol.  Raises
+    targets share one Aberth run from `_fiber_starts`, and each sweep takes
+    B, B' and Q'/Q of all live roots from one blocked pass
+    (`_product_terms`).  A group of one target's iterates that rounding
+    cannot tell apart moves onto the multiple root under it
+    (`_merge_fiber`): a repeated zero for a target next to 0, otherwise a
+    critical point, where each iterate lies within the reach by which a
+    double root splits at re-evaluation tolerance tol.  Raises
     NonConvergenceError, naming the rows, when a root is still moving after
     the sweep cap.
     """
     absc = np.abs(c)
+    # per-run constants: the zeros' conjugates and weights, and the floor of
+    # the stopping bound's scale, len(a) smallest normals, below which B
+    # rounds by a fixed step
+    ac, t, floor = np.conj(a), 1.0 - np.abs(a) ** 2, len(a) * np.finfo(float).tiny
+
+    def product(w):
+        return _product_terms(w, a, ac, t, gamma)
 
     def terms(w, abs_c):
-        """(B, B', Q'/Q, rounding bound of B - c) at the points w, with |c| = abs_c;
-        the bound's scale is floored at len(a) smallest normals, below which B
-        rounds by a fixed step."""
-        val, der, qlog = _product_terms(w, a, gamma)
+        """(B, B', Q'/Q, rounding bound of B - c) at the points w, with |c| = abs_c."""
+        val, der, qlog = product(w)
         scale = len(a) * np.abs(val) + abs_c + np.abs(w) * np.abs(der)
-        return val, der, qlog, 2.0 * _EPS * np.maximum(scale, len(a) * np.finfo(float).tiny)
+        return val, der, qlog, 2.0 * _EPS * np.maximum(scale, floor)
 
     def newton(w, rows):
         val, der, qlog, noise = terms(w, absc[rows])
         f = val - c[rows]
         return f / (der + f * qlog), np.abs(f), noise
 
-    w = _aberth(_fiber_starts(a, c), newton, False)
-    _, der, _, noise = terms(w, absc[:, None])
+    w = _aberth(_fiber_starts(a, gamma, c), newton, False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, der, _, noise = terms(w, absc[:, None])
     radius = _radius(noise, der)
     links = _links(w, radius)
     # every root links to itself; a target with more links has a group
     merge = (links.sum(axis=(1, 2)) > len(a)).nonzero()[0]
     if merge.size:
         u, m = distinct_zeros()
-    for t in merge:
+    for row in merge:
         try:
-            w[t] = _merge_fiber(w[t], complex(c[t]), links[t], radius[t], a, gamma, u, m, tol)
+            w[row] = _merge_fiber(w[row], complex(c[row]), links[row], radius[row], product, u, m, tol)
         except _Unresolved as exc:
-            raise exc.renamed("rows", [t]) from None
+            raise exc.renamed("rows", [row]) from None
     return w
 
 
-def _product_terms(w, a, gamma):
+def _product_terms(w, a, ac, t, gamma):
     """(B, B', Q'/Q) at the points w, arrays of w's shape, for
     B = gamma prod_k b_k, b_k = (a_k - w)/(1 - conj(a_k) w), over the zeros a
-    with repeats, and Q = prod_k (1 - conj(a_k) w).
+    with repeats, and Q = prod_k (1 - conj(a_k) w); ac = conj(a) and
+    t = 1 - |a|^2, computed once per run.
 
     One pass over (points x zeros) blocks of at most _BLOCK elements, with
     two complex divisions per element: with r_k = 1/(1 - conj(a_k) w) and
@@ -123,21 +135,21 @@ def _product_terms(w, a, gamma):
     S = B'/B = -sum_k (1-|a_k|^2) r_k/e_k, and Q'/Q = -sum_k conj(a_k) r_k.
     Where B S is not finite (w on a zero, or a factor underflows), B' is the
     product rule at the vanishing factor, b_k' = -(1-|a_k|^2) r_k^2 times
-    the other factors, which is exact there.
+    the other factors, which is exact there.  Those steps divide by zero or
+    overflow; the caller silences the warnings (`_aberth` does for its
+    sweeps).
     """
     flat = w.reshape(-1)
     val, der, qlog = (np.empty(flat.shape, dtype=complex) for _ in range(3))
     step = max(1, _BLOCK // len(a))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(0, flat.size, step):
-            val[i:i + step], der[i:i + step], qlog[i:i + step] = _product_block(flat[i:i + step, None], a, gamma)
+    for i in range(0, flat.size, step):
+        val[i:i + step], der[i:i + step], qlog[i:i + step] = _product_block(flat[i:i + step, None], a, ac, t, gamma)
     return val.reshape(w.shape), der.reshape(w.shape), qlog.reshape(w.shape)
 
 
-def _product_block(x, a, gamma):
+def _product_block(x, a, ac, t, gamma):
     """`_product_terms` at the (points x 1) array x, as one block; a call per
     block frees its temporaries before the next block makes its own."""
-    ac, t = np.conj(a), 1.0 - np.abs(a) ** 2
     # three (points x zeros) temporaries, reused in place
     r = np.multiply(ac, x)
     r = np.divide(1.0, np.subtract(1.0, r, out=r), out=r)
@@ -175,6 +187,8 @@ def _aberth(z, newton, mirrored: bool) -> np.ndarray:
     grid = z.reshape(-1, z.shape[-1])
     flat, n = grid.reshape(-1), grid.shape[1]
     live = np.arange(flat.size)
+    # live roots per block of the (roots x row) coupling arrays
+    chunk = max(1, _BLOCK // n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_SWEEPS):
             zl = flat[live]
@@ -182,13 +196,16 @@ def _aberth(z, newton, mirrored: bool) -> np.ndarray:
             rows, cols = (0, live) if len(grid) == 1 else np.divmod(live, n)
             step, size, noise = newton(zl, rows)
             done = (size <= noise) & np.isfinite(noise)
-            peers = grid[rows]
-            diff = zl[:, None] - peers
-            diff[np.arange(live.size), cols] = np.inf
-            pull = np.sum(1.0 / diff, axis=1)
-            if mirrored:
-                w = np.conj(peers)
-                pull = pull + np.sum(w / (w * zl[:, None] - 1.0), axis=1)
+            pull = np.empty(live.size, dtype=complex)
+            for i in range(0, live.size, chunk):
+                zb, cb = zl[i:i + chunk, None], cols[i:i + chunk]
+                peers = grid[rows] if len(grid) == 1 else grid[rows[i:i + chunk]]
+                diff = zb - peers
+                diff[np.arange(len(cb)), cb] = np.inf
+                pull[i:i + chunk] = np.sum(1.0 / diff, axis=1)
+                if mirrored:
+                    w = np.conj(peers)
+                    pull[i:i + chunk] += np.sum(w / (w * zb - 1.0), axis=1)
             corr = step / (1.0 - step * pull)
             # a root that stops takes its last correction too; a non-finite
             # correction (an iterate on a pole of f) is not taken, so such a
@@ -250,13 +267,15 @@ def _critical_starts(u: np.ndarray) -> np.ndarray:
     return _next_to(u[np.arange(len(u))[:, None], keep])
 
 
-def _fiber_starts(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _fiber_starts(a: np.ndarray, gamma: complex, c: np.ndarray) -> np.ndarray:
     """Starts for the fibers of the nonzero targets c, one row each.
 
     The fiber point that leaves the zero a_k as the target grows from 0 to c
     stays near it while |a_k| exceeds the radius r at which the circle mean
-    of log|B|, sum_k log max(r, |a_k|) (Jensen), reaches log|c|; the others
-    start evenly spread on that circle.
+    of log|B|, sum_k log max(r, |a_k|) (Jensen), reaches log|c|.  The other
+    k start on that circle, at the angles `_circle_angles` where arg B meets
+    arg c; a row whose angles there are not strictly increasing (coincident
+    starts stall Aberth) spreads them evenly instead.
     """
     a = a[np.argsort(np.abs(a), kind="stable")]
     mods = np.abs(a)
@@ -270,7 +289,57 @@ def _fiber_starts(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     j = np.arange(len(a))
     kk = np.maximum(k, 1)
     r = np.exp(np.where(k > 0, (log_c - above[k]) / kk, 0.0))
-    return np.where(j < k, r * np.exp(1j * (2.0 * np.pi * j / kk + 0.4)), _next_to(a))
+    angles = 2.0 * np.pi * j / kk + 0.4
+    on = (k[:, 0] > 0).nonzero()[0]
+    if on.size:
+        found = _circle_angles(a, gamma, c[on], k[on], r[on])
+        # gaps between a row's first k angles, the first against -inf
+        gaps = np.diff(found, axis=1, prepend=-np.inf)
+        ok = ((gaps > 0.0) | (j >= k[on])).all(axis=1)
+        angles[on[ok]] = found[ok]
+    return np.where(j < k, r * np.exp(1j * angles), _next_to(a))
+
+
+def _circle_angles(a, gamma, c, k, r) -> np.ndarray:
+    """(targets x len(a)) angles: in row t, the first k_t are the angles on
+    the circle |w| = r_t at which arg B(w) = arg c_t + 2 pi j, j < k_t, where
+    the zeros a are sorted by modulus and the first k_t lie inside the
+    circle (k, r: (targets x 1) columns).
+
+    arg B is sampled at 2n + 2 angles per circle, n = len(a), one exact
+    principal angle per (sample, zero): arg b_k = theta + pi + arg w_k with
+    w_k = (1 - a_k/w) conj(1 - conj(a_k) w) for a zero inside, arg a_k +
+    arg w_k with w_k = (1 - w/a_k) conj(1 - conj(a_k) w) for one outside.
+    Both factors of w_k have positive real part, so its principal angle is
+    continuous along the circle and no unwrapping is needed.  The sampled
+    argument need not increase off the unit circle; its running maximum is
+    inverted by linear interpolation, which puts each start at the first
+    sample interval where the argument rises through its level.  The
+    sampling runs in blocks of at most _BLOCK (targets x samples x zeros)
+    entries.
+    """
+    n = len(a)
+    samples = 2 * n + 2
+    theta = 2.0 * np.pi * np.arange(samples + 1) / samples
+    inside = np.arange(n) < k
+    phase = np.empty((len(c), samples + 1))
+    # per row: k theta, pi per zero inside and arg a_k per zero outside
+    phase[:, :samples] = k * theta[:samples] + np.where(inside, np.pi, np.angle(a)).sum(axis=1, keepdims=True)
+    w = (r * np.exp(1j * theta[:samples])).reshape(-1)
+    kw = np.repeat(k[:, 0], samples)
+    ac, sums = np.conj(a), np.empty(w.size)
+    step = max(1, _BLOCK // n)
+    for i in range(0, w.size, step):
+        x, ins = w[i:i + step, None], np.arange(n) < kw[i:i + step, None]
+        # a_k/w inside, w/a_k outside: both below 1 in modulus, and r > 0
+        ratio = np.where(ins, a, x) / np.where(ins, x, a)
+        sums[i:i + step] = np.angle((1.0 - ratio) * np.conj(1.0 - ac * x)).sum(axis=1)
+    phase[:, :samples] += sums.reshape(len(c), samples)
+    phase[:, samples] = phase[:, 0] + 2.0 * np.pi * k[:, 0]
+    phase = np.maximum.accumulate(phase, axis=1)
+    first = phase[:, :1] + np.mod(np.angle(c / gamma)[:, None] - phase[:, :1], 2.0 * np.pi)
+    levels = first + 2.0 * np.pi * np.arange(n)
+    return np.array([np.interp(lv, ph, theta) for lv, ph in zip(levels, phase)])
 
 
 def _radius(noise, d1) -> np.ndarray:
@@ -347,9 +416,10 @@ def _merge_critical(z, u, m) -> list:
     return found
 
 
-def _merge_fiber(w: np.ndarray, c: complex, links, radius, a, gamma, u, m, tol: float) -> np.ndarray:
+def _merge_fiber(w: np.ndarray, c: complex, links, radius, product, u, m, tol: float) -> np.ndarray:
     """One target's converged fiber iterates w, with multiple roots merged;
-    radius holds their `_radius`.
+    radius holds their `_radius`, and product(w) returns (B, B', Q'/Q) at
+    the points w (`_product_terms`).
 
     The iterates of one group (`_rounding_groups` of their `_links`) are one
     multiple root.  A group of k iterates, each within 8 k radii of a
@@ -379,10 +449,10 @@ def _merge_fiber(w: np.ndarray, c: complex, links, radius, a, gamma, u, m, tol: 
             (loc, _), = _merge_critical(crit, u[None], m[None])[0]
         elif abs(loc) <= max(abs(w[i] - loc) for i in idx):
             loc = 0j
-        val, der_p, _ = _product_terms(np.array([loc]), a, gamma)
         s, ds, _, _ = _secular(np.array([loc]), u, m)
         # B'' = B' S + B S'
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            val, der_p, _ = product(np.array([loc]))
             allowed = np.sqrt(2.0 * tol * (1.0 + abs(c)) / abs(der_p[0] * s[0] + val[0] * ds[0]))
         if all(abs(w[i] - loc) <= allowed for i in idx):
             out[idx] = loc

@@ -317,6 +317,20 @@ class TestChunkedEvaluation:
         assert np.all(np.abs(B.derivative(z) - d_ref) <= tol * np.abs(d_ref) + floor)
         assert np.all(np.abs(B.log_derivative(z) - s_ref) <= tol * np.abs(s_ref) + floor)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_far_values_of_a_large_product_do_not_overflow(self, seed):
+        # prod |z_k| is about 6e-18, so |B| is about 1.6e17 out here: a lone
+        # factor's numerator times the running value would overflow
+        rng = np.random.default_rng([64, seed])
+        B = random_product(rng, 64, 0.9)
+        assert np.prod(np.abs(B.zeros)) < 1e-16
+        z = np.array([1e295, 1e300]) * np.exp(2j * np.pi * rng.uniform(size=2))
+        b_star = B.eval(1.0 / np.conj(z))
+        # numpy's array loops, and its scalar arithmetic
+        for b in (B.eval(z), np.array([B.eval(complex(x)) for x in z])):
+            assert np.all(np.abs(b * np.conj(b_star) - 1.0) <= 8 * 64 * self.EPS)
+
     @pytest.mark.parametrize("order", [8, 64])
     def test_a_scalar_agrees_with_the_same_point_in_an_array(self, order):
         # numpy's scalar arithmetic rounds differently from its array loops,
@@ -527,6 +541,14 @@ class TestProductTerms:
             zeros[1:4] = [zeros[0]] * len(zeros[1:4])
         return FiniteBlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), zeros), rng
 
+    @staticmethod
+    def terms(w, B):
+        """_product_terms at the points w, given its per-run constants and
+        with the warnings silenced that the solver silences around it."""
+        a = np.array(B.zeros)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return polyroots._product_terms(w, a, np.conj(a), 1.0 - np.abs(a) ** 2, B.gamma)
+
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 16, 32, 64, 128])
     @pytest.mark.parametrize("kind", ["simple", "zero at 0", "repeated"])
     def test_matches_the_product_rule(self, order, kind):
@@ -537,7 +559,7 @@ class TestProductTerms:
         keep = (np.min(np.abs(1.0 - np.conj(a) * z), axis=0) > 1e-3) & (np.abs(np.abs(z) - 1.0) > 1e-3)
         z = z[keep & (np.min(np.abs(z - a), axis=0) > 1e-3)]
         assert z.size > 300 and np.any(np.abs(z) > 1.0)
-        val, der, qlog = polyroots._product_terms(z, a[:, 0], B.gamma)
+        val, der, qlog = self.terms(z, B)
         ref_val, ref_der = B._value_and_derivative(z)
         # rounding is a few eps per zero of the size of the summands: |B| sum_k |t_k|
         # for B' (as the benchmark's DERIV_SCALED), sum_k |conj(a_k) r_k| for Q'/Q
@@ -555,7 +577,7 @@ class TestProductTerms:
         # and 0 on a repeated zero, as the product rule gives
         B, _ = self.product(order, kind)
         on = np.array([B.zeros[0], 0.1 + 0.2j])
-        val, der, _ = polyroots._product_terms(on, np.array(B.zeros), B.gamma)
+        val, der, _ = self.terms(on, B)
         ref_val, ref_der = B._value_and_derivative(on)
         assert val[0] == ref_val[0] == 0
         if kind == "repeated" and order >= 2:
@@ -636,6 +658,22 @@ class TestFiberSolve:
             tracemalloc.stop()
         assert len(fibers) == 200
         assert peak <= 48e6
+
+    def test_memory_of_a_batch_with_blocked_coupling(self):
+        # the batch above: the coupling runs in blocks of at most _BLOCK
+        # (roots x row) entries, so what remains is mostly the rounding links'
+        # (targets x 64 x 64) arrays, about 20 MB; unblocked it was 41 MB
+        rng = np.random.default_rng(200)
+        B = random_product(rng, 64, 0.9)
+        targets = 0.8 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            B.fiber_solve(targets)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25e6
 
     def test_non_convergence_names_the_targets(self, monkeypatch):
         # target 0 takes the shortcut, so the run's rows 0 and 1 are targets 1 and 2

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
-from blaschkelab import CircleStraddleError, FiniteBlaschkeProduct, NonConvergenceError, critical_sets
+from blaschkelab import CircleStraddleError, FiniteBlaschkeProduct, NonConvergenceError, critical_sets, polyroots
 
 # the checks' tolerances, as in bench/workloads.py
 CRIT_STEP = 1e-6       # Newton distance of a critical point to a zero of B', x max(1, |p|)
@@ -134,6 +134,89 @@ class TestTinyTargets:
             fiber = B.fiber_solve(c)
             assert fiber_error(B, c, fiber) is None
             assert fiber.count(u) == 2
+
+
+class TestFiberStarts:
+    """Fiber starts on the Jensen circle, at the angles where arg B meets arg c."""
+
+    # two zeros at 0 and one just outside the circle of |c| = 0.12, whose
+    # radius is sqrt(2 |c|) = 0.49: arg B dips where the circle passes it
+    DIP = FiniteBlaschkeProduct(1.0, (0j, 0j, 0.5 * np.exp(1j * np.pi / 8)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("order", [16, 32, 64, 128])
+    def test_high_order_fibers_within_eight_sweeps(self, monkeypatch, order, seed):
+        # from evenly spread starts these fibers took 10 to 19 sweeps
+        rng = np.random.default_rng([order, seed, 8])
+        B = FiniteBlaschkeProduct(complex(np.exp(2j * np.pi * rng.uniform())),
+                                  tuple(complex(z) for z in _disc(rng, order, 0.9)))
+        targets = np.array([0.1, 0.3, 0.5, 0.8, 0.9, 0.99]) * np.exp(2j * np.pi * rng.uniform(size=6))
+        monkeypatch.setattr(polyroots, "_MAX_SWEEPS", 8)
+        for c, fiber in zip(targets, B.fiber_solve(targets)):
+            assert fiber_error(B, c, fiber) is None
+
+    @pytest.mark.parametrize("order", [2, 5, 16, 64, 128])
+    def test_every_row_gets_distinct_starts(self, order):
+        rng = np.random.default_rng([order, 5])
+        zeros = _disc(rng, order, 0.95)
+        zeros[-1] = zeros[0]
+        mods = 10.0 ** rng.uniform(-12.0, np.log10(0.99), size=40)
+        starts = polyroots._fiber_starts(zeros, 1j, mods * np.exp(2j * np.pi * rng.uniform(size=40)))
+        gaps = np.abs(starts[:, :, None] - starts[:, None, :])
+        gaps[:, np.arange(order), np.arange(order)] = np.inf
+        assert gaps.min() > 0.0
+
+    @staticmethod
+    def circle(B, c):
+        """(k, r, sampled arg B, angles) for the target c, computed apart from
+        the solver: r by bisection on Jensen's mean sum log max(r, |a_k|) =
+        log|c|, k the zeros inside, arg B unwrapped on 1,024 points per sample
+        interval and read at the 2n + 2 sample angles, and the angles where
+        its running maximum meets arg c + 2 pi j, j < k."""
+        mods = np.abs(np.array(B.zeros))
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.sum(np.log(np.maximum(mid, mods))) < np.log(abs(c)) else (lo, mid)
+        r, k = lo, int(np.sum(mods < lo))
+        samples = 2 * B.order + 2
+        fine = 2.0 * np.pi * np.arange(1024 * samples + 1) / (1024 * samples)
+        sampled = np.unwrap(np.angle(B.eval(r * np.exp(1j * fine))))[::1024]
+        levels = sampled[0] + np.mod(np.angle(c) - sampled[0], 2.0 * np.pi) + 2.0 * np.pi * np.arange(k)
+        return k, r, sampled, np.interp(levels, np.maximum.accumulate(sampled), fine[::1024])
+
+    @pytest.mark.parametrize("turn", [1.0, 2.1, 4.9])
+    def test_a_dip_in_the_sampled_argument_keeps_the_running_maximum(self, turn):
+        # arg B falls over the first of the 8 sample intervals; the levels at
+        # turns 2.1 and 4.9 lie in the range that the fall crosses twice more
+        B, c = self.DIP, 0.12 * np.exp(1j * turn)
+        k, r, sampled, angles = self.circle(B, c)
+        assert k == 2 and np.diff(sampled)[0] < -0.5
+        a = np.array(sorted(B.zeros, key=abs))
+        found = polyroots._circle_angles(a, B.gamma, np.array([c]), np.array([[k]]), np.array([[r]]))[0, :k]
+        assert np.allclose(found, angles, rtol=0.0, atol=1e-9)
+        starts = polyroots._fiber_starts(np.array(B.zeros), B.gamma, np.array([c]))[0]
+        assert np.allclose(starts[:k], r * np.exp(1j * angles), rtol=0.0, atol=1e-9)
+        assert fiber_error(B, c, B.fiber_solve(c)) is None
+
+    @pytest.mark.parametrize("order", [3, 12, 40])
+    def test_angles_meet_the_argument_of_random_products(self, order):
+        rng = np.random.default_rng([order, 6])
+        B = FiniteBlaschkeProduct(complex(np.exp(2j * np.pi * rng.uniform())),
+                                  tuple(complex(z) for z in _disc(rng, order, 0.9)))
+        for c in 0.6 * np.exp(2j * np.pi * rng.uniform(size=3)):
+            k, r, _, angles = self.circle(B, c)
+            a = np.array(sorted(B.zeros, key=abs))
+            found = polyroots._circle_angles(a, B.gamma, np.array([c]), np.array([[k]]), np.array([[r]]))[0, :k]
+            assert k > 0 and np.allclose(found, angles, rtol=0.0, atol=1e-9)
+
+    def test_coincident_angles_fall_back_to_an_even_spread(self, monkeypatch):
+        B, c = self.DIP, 0.12 * np.exp(1j)
+        monkeypatch.setattr(polyroots, "_circle_angles", lambda a, gamma, c, k, r: np.zeros((len(c), len(a))))
+        starts = polyroots._fiber_starts(np.array(B.zeros), B.gamma, np.array([c]))[0]
+        even = np.sqrt(2.0 * abs(c)) * np.exp(1j * (0.4 + np.pi * np.arange(2)))
+        assert np.allclose(starts[:2], even)
+        assert fiber_error(B, c, B.fiber_solve(c)) is None
 
 
 class TestFixedInputs:
