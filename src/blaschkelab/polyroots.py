@@ -274,8 +274,9 @@ def _fiber_starts(a: np.ndarray, gamma: complex, c: np.ndarray) -> np.ndarray:
     stays near it while |a_k| exceeds the radius r at which the circle mean
     of log|B|, sum_k log max(r, |a_k|) (Jensen), reaches log|c|.  The other
     k start on that circle, at the angles `_circle_angles` where arg B meets
-    arg c; a row whose angles there are not strictly increasing (coincident
-    starts stall Aberth) spreads them evenly instead.
+    arg c.  Those are distinct, as Aberth needs: their levels lie 2 pi apart,
+    and arg B rises by at most 2 pi n + k dtheta over one sample interval of
+    dtheta, so interpolated angles differ by at least about dtheta/n.
     """
     a = a[np.argsort(np.abs(a), kind="stable")]
     mods = np.abs(a)
@@ -287,16 +288,11 @@ def _fiber_starts(a: np.ndarray, gamma: complex, c: np.ndarray) -> np.ndarray:
     # the first k sorted zeros of each target lie inside its circle
     k = (means < log_c).sum(axis=1, keepdims=True)
     j = np.arange(len(a))
-    kk = np.maximum(k, 1)
-    r = np.exp(np.where(k > 0, (log_c - above[k]) / kk, 0.0))
-    angles = 2.0 * np.pi * j / kk + 0.4
+    r = np.exp(np.where(k > 0, (log_c - above[k]) / np.maximum(k, 1), 0.0))
+    angles = np.zeros((len(c), len(a)))
     on = (k[:, 0] > 0).nonzero()[0]
     if on.size:
-        found = _circle_angles(a, gamma, c[on], k[on], r[on])
-        # gaps between a row's first k angles, the first against -inf
-        gaps = np.diff(found, axis=1, prepend=-np.inf)
-        ok = ((gaps > 0.0) | (j >= k[on])).all(axis=1)
-        angles[on[ok]] = found[ok]
+        angles[on] = _circle_angles(a, gamma, c[on], k[on], r[on])
     return np.where(j < k, r * np.exp(1j * angles), _next_to(a))
 
 

@@ -642,10 +642,10 @@ class TestFiberSolve:
             assert len(fiber) == len(want) == 2
             assert max(abs(v - u) for v, u in zip(fiber, want)) <= 1e-14
 
-    def test_memory_of_a_batch(self):
-        # the first sweep couples 12,800 roots within their rows of 64, about
-        # 40 MB of (roots x roots) arrays; an unblocked (roots x zeros) pass
-        # for B, B' and Q'/Q would add about 28 MB more
+    @staticmethod
+    def _peak_of_batch():
+        """tracemalloc peak of the fibers of 200 targets under one order-64
+        product."""
         rng = np.random.default_rng(200)
         B = random_product(rng, 64, 0.9)
         targets = 0.8 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
@@ -657,23 +657,19 @@ class TestFiberSolve:
         finally:
             tracemalloc.stop()
         assert len(fibers) == 200
-        assert peak <= 48e6
+        return peak
+
+    def test_memory_of_a_batch(self):
+        # the first sweep couples 12,800 roots within their rows of 64, about
+        # 40 MB of (roots x roots) arrays; an unblocked (roots x zeros) pass
+        # for B, B' and Q'/Q would add about 28 MB more
+        assert self._peak_of_batch() <= 48e6
 
     def test_memory_of_a_batch_with_blocked_coupling(self):
-        # the batch above: the coupling runs in blocks of at most _BLOCK
-        # (roots x row) entries, so what remains is mostly the rounding links'
-        # (targets x 64 x 64) arrays, about 20 MB; unblocked it was 41 MB
-        rng = np.random.default_rng(200)
-        B = random_product(rng, 64, 0.9)
-        targets = 0.8 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            B.fiber_solve(targets)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 25e6
+        # the coupling runs in blocks of at most _BLOCK (roots x row) entries,
+        # so what remains is mostly the rounding links' (targets x 64 x 64)
+        # arrays, about 20 MB; unblocked it was 41 MB
+        assert self._peak_of_batch() <= 25e6
 
     def test_non_convergence_names_the_targets(self, monkeypatch):
         # target 0 takes the shortcut, so the run's rows 0 and 1 are targets 1 and 2

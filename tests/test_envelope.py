@@ -210,14 +210,6 @@ class TestFiberStarts:
             found = polyroots._circle_angles(a, B.gamma, np.array([c]), np.array([[k]]), np.array([[r]]))[0, :k]
             assert k > 0 and np.allclose(found, angles, rtol=0.0, atol=1e-9)
 
-    def test_coincident_angles_fall_back_to_an_even_spread(self, monkeypatch):
-        B, c = self.DIP, 0.12 * np.exp(1j)
-        monkeypatch.setattr(polyroots, "_circle_angles", lambda a, gamma, c, k, r: np.zeros((len(c), len(a))))
-        starts = polyroots._fiber_starts(np.array(B.zeros), B.gamma, np.array([c]))[0]
-        even = np.sqrt(2.0 * abs(c)) * np.exp(1j * (0.4 + np.pi * np.arange(2)))
-        assert np.allclose(starts[:2], even)
-        assert fiber_error(B, c, B.fiber_solve(c)) is None
-
 
 class TestFixedInputs:
     """The benchmark's fixed inputs: products of order 64 and 128, zeros in
