@@ -34,7 +34,7 @@ from .errors import (
     ZeroProximityError,
 )
 from .moebius import DiscAutomorphism, automorphism_eval, automorphism_inverse
-from .polyroots import _BLOCK, _Unresolved, critical_roots, fiber_roots
+from .polyroots import _BLOCK, critical_roots, fiber_roots
 
 ZERO_MARGIN = 1e-12
 POLE_TOL = 1e-14
@@ -239,7 +239,8 @@ class FiniteBlaschkeProduct:
             out = out + (1.0 - abs(z_k) ** 2) / np.abs(w - z_k) ** 2
         return float(out) if scalar else out
 
-    def _distinct_zeros(self):
+    @cached_property
+    def _distinct_zeros(self) -> tuple:
         """The distinct zeros u and their multiplicities m, as arrays (m in
         floats, as the secular sum takes them).
 
@@ -296,10 +297,8 @@ class FiniteBlaschkeProduct:
         todo = [t for t, x in enumerate(targets) if x != 0]
         if todo:
             cs = cc.ravel()[todo]
-            try:
-                found = fiber_roots(np.array(self.zeros), self.gamma, cs, self._distinct_zeros, FIBER_EVAL_TOL)
-            except _Unresolved as exc:
-                raise exc.renamed("targets", todo) from None
+            found = fiber_roots(np.array(self.zeros), self.gamma, cs, self._distinct_zeros, FIBER_EVAL_TOL,
+                                ("targets", todo))
             escaped = ~(np.abs(found) < 1.0)
             if escaped.any():
                 t, k = np.argwhere(escaped)[0]
@@ -362,7 +361,7 @@ def critical_sets(products) -> list:
     is still moving after the sweep cap.
     """
     products = list(products)
-    distinct = [B._distinct_zeros() for B in products]
+    distinct = [B._distinct_zeros for B in products]
     by_count: dict = {}
     for i, (u, _) in enumerate(distinct):
         if len(u) >= 2:
@@ -374,11 +373,7 @@ def critical_sets(products) -> list:
             chunk = members[start:start + step]
             u = np.array([distinct[i][0] for i in chunk])
             m = np.array([distinct[i][1] for i in chunk])
-            try:
-                roots = critical_roots(u, m)
-            except _Unresolved as exc:
-                raise exc.renamed("products", chunk) from None
-            for i, pts in zip(chunk, roots):
+            for i, pts in zip(chunk, critical_roots(u, m, ("products", chunk))):
                 found[i] = pts
     return [_critical_set(B, u, m, pts) for B, (u, m), pts in zip(products, distinct, found)]
 

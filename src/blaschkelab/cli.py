@@ -74,7 +74,7 @@ class RunConfig:
 
 
 def parse_tolerance_overrides(text: str) -> dict:
-    """Parse 'name=value,name=value'; unknown names are rejected."""
+    """Parse 'name=value,name=value'; unknown names, negative and non-finite values are rejected."""
     out = {}
     if not text.strip():
         return out
@@ -91,6 +91,8 @@ def parse_tolerance_overrides(text: str) -> dict:
             out[name] = float(value)
         except ValueError as exc:
             raise SpecFileError(f"bad value for tolerance {name!r}: {value!r}") from exc
+        if not 0.0 <= out[name] < math.inf:
+            raise SpecFileError(f"tolerance {name!r} must be finite and nonnegative, not {value!r}")
     return out
 
 
@@ -243,7 +245,7 @@ def render_product_svg(B: FiniteBlaschkeProduct) -> str:
                 f'<polyline points="{coords}" fill="none" stroke="#2e6fb0" '
                 f'stroke-width="0.01"/>'
             )
-    for u, m in zip(*B._distinct_zeros()):
+    for u, m in zip(*B._distinct_zeros):
         parts.append(
             f'<circle cx="{u.real:.6f}" cy="{-u.imag:.6f}" r="0.025" fill="#1f6f43"/>'
         )

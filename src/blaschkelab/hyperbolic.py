@@ -187,7 +187,7 @@ def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
 
 def hull_contains(hull: HyperbolicHull, z, tol: float) -> bool:
     """Membership of z in the hull, with Euclidean tolerance tol in the Klein model."""
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
     k = poincare_to_klein(z)
     kv = hull.klein_vertices

@@ -296,11 +296,8 @@ def fatou_limit_scan(B: FiniteBlaschkeProduct, radii, angles: int) -> list:
 
 def default_valence_radius(B: FiniteBlaschkeProduct, w, fiber=None) -> float:
     """Contour radius enclosing the whole fiber of w (solved unless given): halfway
-    from its outermost point to the circle; 1 - 1e-3 when it is not available."""
-    try:
-        fiber = B.fiber_solve(w) if fiber is None else fiber
-    except NonConvergenceError:
-        return 1.0 - 1e-3
+    from its outermost point to the circle."""
+    fiber = B.fiber_solve(w) if fiber is None else fiber
     return 0.5 * (1.0 + max(abs(v) for v in fiber))
 
 

@@ -119,6 +119,8 @@ def automorphism_limit_bound(a, gamma, gamma0, z) -> float:
         raise ValueError("the bound degenerates for |z| >= 1")
     gamma = _renormalized_unimodular(gamma)
     gamma0 = complex(gamma0)  # taken as given so that gamma0 = a*gamma yields bound 0
+    if not np.isfinite(gamma0):
+        raise ValueError("gamma0 must be finite")
     bound = 2.0 * abs(gamma0 - a * gamma) / (1.0 - abs(z))
     actual = abs(gamma0 - automorphism_eval(DiscAutomorphism(a, gamma), z))
     if actual > bound + 1e-12:

@@ -16,8 +16,9 @@ coupling between a row's roots, like every (points x zeros) pass, runs in
 blocks of at most _BLOCK entries.  A root stops once its residual is within
 the rounding bound of its evaluation, and roots that rounding cannot tell
 apart are merged into one multiple root, row by row.  A run that gives up
-names the rows still moving.  The module works on plain arrays;
-`critical_roots` and `fiber_roots` are its only entry points.
+raises NonConvergenceError naming the rows still moving by the labels its
+caller passed in.  The module works on plain arrays; `critical_roots` and
+`fiber_roots` are its only entry points.
 """
 
 from __future__ import annotations
@@ -38,20 +39,7 @@ _BLOCK = 8192
 _MAX_SWEEPS = 200
 
 
-class _Unresolved(NonConvergenceError):
-    """NonConvergenceError of an Aberth run, naming the rows still moving."""
-
-    def __init__(self, count: int, total: int, rows: list, name: str = "rows"):
-        super().__init__(f"{count} of {total} roots unresolved after {_MAX_SWEEPS} Aberth sweeps "
-                         f"({name} {', '.join(map(str, rows))})")
-        self.count, self.total, self.rows = count, total, rows
-
-    def renamed(self, name: str, labels) -> "_Unresolved":
-        """The same failure with row r reported as `name` labels[r]."""
-        return _Unresolved(self.count, self.total, [labels[r] for r in self.rows], name)
-
-
-def critical_roots(u: np.ndarray, m: np.ndarray) -> list:
+def critical_roots(u: np.ndarray, m: np.ndarray, names) -> list:
     """(point, multiplicity) for the interior zeros of S = B'/B, one list per
     row of u.
 
@@ -61,30 +49,29 @@ def critical_roots(u: np.ndarray, m: np.ndarray) -> list:
     single row runs the arithmetic of a solve of its own.  Iterates that
     rounding cannot tell apart from a multiple root are merged, and a point
     whose error bound reaches the origin is exactly 0.  Raises
-    NonConvergenceError, naming the rows, when a root is still moving after
-    the sweep cap.
+    NonConvergenceError when a root is still moving after the sweep cap,
+    naming row r as noun labels[r], names = (noun, labels).
     """
-    found = _aberth(_critical_starts(u), lambda z, rows: _critical_newton(z, u[rows], m[rows]), True)
+    found = _aberth(_critical_starts(u), lambda z, rows: _critical_newton(z, u[rows], m[rows]), True, names)
     return _merge_critical(found, u, m)
 
 
-def fiber_roots(a: np.ndarray, gamma: complex, c: np.ndarray, distinct_zeros, tol: float) -> np.ndarray:
+def fiber_roots(a: np.ndarray, gamma: complex, c: np.ndarray, distinct, tol: float, names) -> np.ndarray:
     """All len(a) roots of Q (B - c_t) for each nonzero target c_t of the
     1-D array c, multiplicities expanded, unsorted: a (targets x len(a))
     array.
 
     B = gamma prod_k (a_k - w)/(1 - conj(a_k) w) over the zeros a with
-    repeats; distinct_zeros() returns the distinct zeros and their
-    multiplicities, and is called once, only when some iterates merge.  All
-    targets share one Aberth run from `_fiber_starts`, and each sweep takes
-    B, B' and Q'/Q of all live roots from one blocked pass
-    (`_product_terms`).  A group of one target's iterates that rounding
-    cannot tell apart moves onto the multiple root under it
-    (`_merge_fiber`): a repeated zero for a target next to 0, otherwise a
-    critical point, where each iterate lies within the reach by which a
-    double root splits at re-evaluation tolerance tol.  Raises
-    NonConvergenceError, naming the rows, when a root is still moving after
-    the sweep cap.
+    repeats; distinct = (u, m) holds the distinct zeros and their
+    multiplicities as arrays.  All targets share one Aberth run from
+    `_fiber_starts`, and each sweep takes B, B' and Q'/Q of all live roots
+    from one blocked pass (`_product_terms`).  A group of one target's
+    iterates that rounding cannot tell apart moves onto the multiple root
+    under it (`_merge_fiber`): a repeated zero for a target next to 0,
+    otherwise a critical point, where each iterate lies within the reach by
+    which a double root splits at re-evaluation tolerance tol.  Raises
+    NonConvergenceError when a root is still moving after the sweep cap,
+    naming target t as noun labels[t], names = (noun, labels).
     """
     absc = np.abs(c)
     # per-run constants: the zeros' conjugates and weights, and the floor of
@@ -106,20 +93,15 @@ def fiber_roots(a: np.ndarray, gamma: complex, c: np.ndarray, distinct_zeros, to
         f = val - c[rows]
         return f / (der + f * qlog), np.abs(f), noise
 
-    w = _aberth(_fiber_starts(a, gamma, c), newton, False)
+    w = _aberth(_fiber_starts(a, gamma, c), newton, False, names)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _, der, _, noise = terms(w, absc[:, None])
     radius = _radius(noise, der)
     links = _links(w, radius)
     # every root links to itself; a target with more links has a group
-    merge = (links.sum(axis=(1, 2)) > len(a)).nonzero()[0]
-    if merge.size:
-        u, m = distinct_zeros()
-    for row in merge:
-        try:
-            w[row] = _merge_fiber(w[row], complex(c[row]), links[row], radius[row], product, u, m, tol)
-        except _Unresolved as exc:
-            raise exc.renamed("rows", [row]) from None
+    for row in (links.sum(axis=(1, 2)) > len(a)).nonzero()[0]:
+        one = (names[0], [names[1][row]])
+        w[row] = _merge_fiber(w[row], complex(c[row]), links[row], radius[row], product, distinct, tol, one)
     return w
 
 
@@ -169,23 +151,23 @@ def _product_block(x, a, ac, t, gamma):
     return val, der, qlog
 
 
-def _aberth(z, newton, mirrored: bool) -> np.ndarray:
-    """Simultaneous Aberth iteration for the roots of f from the starts z.
+def _aberth(z, newton, mirrored: bool, names) -> np.ndarray:
+    """Simultaneous Aberth iteration for the roots of f from the (rows x n)
+    starts z.
 
-    z is one row of starts or a (rows x n) array; each row is a root set of
-    its own (one product or one fiber target) and couples only within
-    itself.  Each sweep calls newton(z, rows) on the live roots z of all
-    rows, flattened, which returns (f/f', |f|, rounding bound of f).  A root
-    stops, after taking that sweep's correction, once |f| is within its
-    rounding bound, and stays in the coupling.  Raises NonConvergenceError,
-    naming the rows of the roots still moving, after _MAX_SWEEPS sweeps.
-    With `mirrored` the roots of f are the iterates together with their
+    Each row is a root set of its own (one product or one fiber target) and
+    couples only within itself.  Each sweep calls newton(z, rows) on the
+    live roots z of all rows, flattened, which returns (f/f', |f|, rounding
+    bound of f).  A root stops, after taking that sweep's correction, once
+    |f| is within its rounding bound, and stays in the coupling.  After
+    _MAX_SWEEPS sweeps raises NonConvergenceError, naming each row r with a
+    root still moving as noun labels[r], names = (noun, labels).  With
+    `mirrored` the roots of f are the iterates together with their
     reflections 1/conj(z): those enter the coupling without being iterated,
     and an iterate that leaves the disc is replaced by its reflection.
     """
     z = np.array(z, dtype=complex)
-    grid = z.reshape(-1, z.shape[-1])
-    flat, n = grid.reshape(-1), grid.shape[1]
+    flat, n = z.reshape(-1), z.shape[1]
     live = np.arange(flat.size)
     # live roots per block of the (roots x row) coupling arrays
     chunk = max(1, _BLOCK // n)
@@ -193,13 +175,13 @@ def _aberth(z, newton, mirrored: bool) -> np.ndarray:
         for _ in range(_MAX_SWEEPS):
             zl = flat[live]
             # each live root's row and column; one row is indexed, not gathered
-            rows, cols = (0, live) if len(grid) == 1 else np.divmod(live, n)
+            rows, cols = (0, live) if len(z) == 1 else np.divmod(live, n)
             step, size, noise = newton(zl, rows)
             done = (size <= noise) & np.isfinite(noise)
             pull = np.empty(live.size, dtype=complex)
             for i in range(0, live.size, chunk):
                 zb, cb = zl[i:i + chunk, None], cols[i:i + chunk]
-                peers = grid[rows] if len(grid) == 1 else grid[rows[i:i + chunk]]
+                peers = z[rows] if len(z) == 1 else z[rows[i:i + chunk]]
                 diff = zb - peers
                 diff[np.arange(len(cb)), cb] = np.inf
                 pull[i:i + chunk] = np.sum(1.0 / diff, axis=1)
@@ -217,7 +199,9 @@ def _aberth(z, newton, mirrored: bool) -> np.ndarray:
             live = live[~done]
             if live.size == 0:
                 return z
-    raise _Unresolved(live.size, z.size, sorted(set((live // n).tolist())))
+    moving = ", ".join(str(names[1][r]) for r in np.unique(live // n))
+    raise NonConvergenceError(f"{live.size} of {z.size} roots unresolved after {_MAX_SWEEPS} Aberth sweeps "
+                              f"({names[0]} {moving})")
 
 
 def _secular(z, u, m):
@@ -412,10 +396,11 @@ def _merge_critical(z, u, m) -> list:
     return found
 
 
-def _merge_fiber(w: np.ndarray, c: complex, links, radius, product, u, m, tol: float) -> np.ndarray:
+def _merge_fiber(w: np.ndarray, c: complex, links, radius, product, distinct, tol: float, names) -> np.ndarray:
     """One target's converged fiber iterates w, with multiple roots merged;
-    radius holds their `_radius`, and product(w) returns (B, B', Q'/Q) at
-    the points w (`_product_terms`).
+    radius holds their `_radius`, product(w) returns (B, B', Q'/Q) at the
+    points w (`_product_terms`), and distinct = (u, m) holds the distinct
+    zeros and their multiplicities.
 
     The iterates of one group (`_rounding_groups` of their `_links`) are one
     multiple root.  A group of k iterates, each within 8 k radii of a
@@ -426,8 +411,10 @@ def _merge_fiber(w: np.ndarray, c: complex, links, radius, product, u, m, tol: f
     multiplicities m) for a double root, where p is a simple critical point.
     It moves onto p only where each iterate lies within the reach
     sqrt(2 tol (1+|c|)/|B''(p)|) by which the re-evaluation tolerance lets a
-    double root split.
+    double root split.  The Aberth run that refines a double root names its
+    one row as the target, names = (noun, [label]).
     """
+    u, m = distinct
     out = w.copy()
     for idx in _rounding_groups(links):
         k = len(idx)
@@ -441,7 +428,7 @@ def _merge_fiber(w: np.ndarray, c: complex, links, radius, product, u, m, tol: f
             out[idx] = u[j]
             continue
         if k == 2:
-            crit = _aberth(np.array([[loc]]), lambda z, rows: _critical_newton(z, u, m), False)
+            crit = _aberth(np.array([[loc]]), lambda z, rows: _critical_newton(z, u, m), False, names)
             (loc, _), = _merge_critical(crit, u[None], m[None])[0]
         elif abs(loc) <= max(abs(w[i] - loc) for i in idx):
             loc = 0j

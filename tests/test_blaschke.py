@@ -505,9 +505,9 @@ class TestCriticalSets:
         rows = []
         solve = blaschke.critical_roots
 
-        def counted(u, m):
+        def counted(u, m, names):
             rows.append(len(u))
-            return solve(u, m)
+            return solve(u, m, names)
 
         rng = np.random.default_rng(64)
         products = [random_product(rng, 64, 0.9) for _ in range(5)]
@@ -671,6 +671,28 @@ class TestFiberSolve:
         # arrays, about 20 MB; unblocked it was 41 MB
         assert self._peak_of_batch() <= 25e6
 
+    @pytest.mark.parametrize("radii", [(0.5,), (0.8,), (0.5, 0.8)])
+    def test_triple_point_at_the_origin_is_exactly_zero(self, radii):
+        # B depends on z^3, so B(0) is a triple point of its fiber; the three
+        # iterates land about 1e-6 from 0 and their group snaps to exactly 0
+        zeros = tuple(r * np.exp(2j * np.pi * k / 3) for r in radii for k in range(3))
+        B = FiniteBlaschkeProduct(1.0, zeros)
+        fiber = B.fiber_solve(B.eval(0j))
+        assert [w for w in fiber if abs(w) < 0.1] == [0j, 0j, 0j]
+
+    def test_merge_failure_names_its_target(self, monkeypatch):
+        # only the refinement of target 1's double root at 0 runs Newton on S
+        newton = polyroots._critical_newton
+
+        def stuck(z, u, m):
+            step, size, _ = newton(z, u, m)
+            return step, size, -1.0
+
+        monkeypatch.setattr(polyroots, "_critical_newton", stuck)
+        B = FiniteBlaschkeProduct(1.0, (0.5, -0.5))
+        with pytest.raises(NonConvergenceError, match=r"^1 of 1 roots unresolved .* \(targets 1\)$"):
+            B.fiber_solve(np.array([0.3 + 0.2j, complex(B.eval(0.0))]))
+
     def test_non_convergence_names_the_targets(self, monkeypatch):
         # target 0 takes the shortcut, so the run's rows 0 and 1 are targets 1 and 2
         B = random_product(np.random.default_rng(12), 5, 0.9)
@@ -738,13 +760,15 @@ _HULL = hyperbolic_convex_hull([0.1, 0.2j, -0.3])
         lambda: Geodesic(NAN, 1.0),
         lambda: hyperbolic_convex_hull([0.1, NAN]),
         lambda: hull_contains(_HULL, NAN, 1e-8),
+        lambda: hull_contains(_HULL, 0.9, NAN),
+        lambda: automorphism_limit_bound(0.5, 1.0, NAN, 0.2),
         lambda: fatou_quotient(_B, NAN),
         lambda: valence(_B, NAN, 0.9),
     ],
     ids=[
         "zero", "imaginary-zero", "fiber-value", "automorphism", "limit-bound",
         "poincare-to-klein", "klein-to-poincare", "geodesic", "hull-input",
-        "hull-member", "fatou-quotient", "valence-target",
+        "hull-member", "hull-tolerance", "limit-bound-gamma0", "fatou-quotient", "valence-target",
     ],
 )
 def test_nan_is_not_inside_the_disc(call):

@@ -80,6 +80,7 @@ class TestSpecFile:
 class TestToleranceOverrides:
     def test_parse_known(self):
         assert parse_tolerance_overrides("hull_tol=1e-6") == {"hull_tol": 1e-6}
+        assert parse_tolerance_overrides("fatou_slack=0") == {"fatou_slack": 0.0}
 
     def test_unknown_rejected(self):
         with pytest.raises(SpecFileError):
@@ -91,6 +92,18 @@ class TestToleranceOverrides:
         monkeypatch.setenv("BLASCHKE_LAB_TOL_OVERRIDES", "nonsense=3")
         rc, _ = run(["critical-points", spec])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
+    def test_non_finite_or_negative_rejected(self, value):
+        with pytest.raises(SpecFileError, match="finite and nonnegative"):
+            parse_tolerance_overrides(f"hull_tol={value}")
+
+    def test_nan_override_is_a_usage_error(self, monkeypatch):
+        # NaN would make every comparison of the fatou suite pass vacuously
+        monkeypatch.setenv("BLASCHKE_LAB_TOL_OVERRIDES", "fatou_slack=nan,fatou_scan=nan")
+        rc, out = run(["verify", "--suite", "fatou", "--trials", "1"])
+        assert rc == EXIT_USAGE
+        assert out == ""
 
 
 class TestCriticalPoints:

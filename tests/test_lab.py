@@ -6,6 +6,7 @@ import pytest
 from blaschkelab import (
     FiniteBlaschkeProduct,
     InvalidAnnulusError,
+    NonConvergenceError,
     SequenceSpec,
     convergence_experiment,
     counterexample_run,
@@ -23,6 +24,7 @@ from blaschkelab import (
     separation_estimate,
     valence,
 )
+from blaschkelab import polyroots
 
 
 def rand_disc(rng, radius=0.8):
@@ -243,6 +245,29 @@ class TestValence:
         B = random_product(np.random.default_rng(78), 4, 0.8)
         w = 0.3 - 0.2j
         assert default_valence_radius(B, w, B.fiber_solve(w)) == default_valence_radius(B, w)
+
+    def test_solver_failure_is_raised_not_replaced(self, monkeypatch):
+        # no substitute radius: 1 - 1e-3 need not enclose the fiber
+        B = random_product(np.random.default_rng(78), 4, 0.8)
+        monkeypatch.setattr(polyroots, "_MAX_SWEEPS", 1)
+        with pytest.raises(NonConvergenceError, match=r"\(targets 0\)"):
+            default_valence_radius(B, 0.3 - 0.2j)
+
+    def test_node_count_doubles_once(self):
+        # one 4,096-node pass leaves a residual of 0.148; 8,192 nodes settle
+        B = FiniteBlaschkeProduct.monomial(1)
+        rep = valence(B, 0.999, 0.9995, 4096)
+        assert rep.valence == 1
+        assert 0.01 < rep.residual <= 0.05
+        assert valence(B, 0.999, 0.9995, 8192) == rep
+        with pytest.raises(NonConvergenceError, match="did not settle"):
+            valence(B, 0.999, 0.9993, 4096)
+
+    @pytest.mark.xfail(strict=True, reason="the contour sum aliases: 4,096 nodes on |z| = 0.9991 count 3 for the "
+                                           "one fiber point 0.999 inside")
+    def test_aliased_count_near_the_circle(self):
+        B = FiniteBlaschkeProduct.monomial(1)
+        assert valence(B, 0.999, 0.9991, 4096).valence == 1
 
     def test_invariants(self):
         B = FiniteBlaschkeProduct.monomial(3)
