@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import coerce_points, uncoerce
+from ._util import coerce_points, components, uncoerce
 from .errors import (
     CircleStraddleError,
     NonConvergenceError,
@@ -244,16 +244,14 @@ class FiniteBlaschkeProduct:
         """The distinct zeros u and their multiplicities m, as arrays (m in
         floats, as the secular sum takes them).
 
-        Each zero joins the group of the first zero within DISTINCT_ZERO_TOL
-        of it, and a chain of such zeros joins the group at its head, so the
+        Zeros within DISTINCT_ZERO_TOL, directly or by a chain, are one
+        repeated zero (`components`) at their first, in any order, so the
         multiplicities always sum to the order.
         """
         a = np.array(self.zeros)
-        first = (np.abs(a[:, None] - a) <= DISTINCT_ZERO_TOL).argmax(axis=1)
-        while (first[first] != first).any():
-            first = first[first]
-        head = first == np.arange(a.size)
-        return a[head], np.bincount(first, minlength=a.size)[head].astype(float)
+        label = components(np.abs(a[:, None] - a) <= DISTINCT_ZERO_TOL)
+        head = label == np.arange(a.size)
+        return a[head], np.bincount(label, minlength=a.size)[head].astype(float)
 
     def critical_points(self) -> CriticalSet:
         """All zeros of B', split into interior and exterior points: the one

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .lab import (
     fatou_quotient,
     random_product,
     rotation_constant,
+    separation_estimate,
     valence,
 )
 
@@ -62,15 +62,6 @@ ENV_TOL = "BLASCHKE_LAB_TOL_OVERRIDES"
 
 class SpecFileError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    seed: int = 7
-    tolerances: dict = field(default_factory=dict)
-
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, TOLERANCES[name])
 
 
 def parse_tolerance_overrides(text: str) -> dict:
@@ -147,7 +138,7 @@ def _parse_complex_flag(text: str, what: str) -> complex:
 # ---------------------------------------------------------------------------
 # critical-points
 
-def cmd_critical_points(args, config: RunConfig, out) -> int:
+def cmd_critical_points(args, tol: dict, out) -> int:
     B = load_product_spec(args.spec)
     cs = B.critical_points()
     hull = hyperbolic_convex_hull(B.zeros) if args.hull else None
@@ -156,7 +147,7 @@ def cmd_critical_points(args, config: RunConfig, out) -> int:
     for region, pairs in (("interior", cs.interior), ("exterior", cs.exterior)):
         for p, mult in pairs:
             if hull is not None and region == "interior":
-                member = hull_contains(hull, p, config.tol("hull_tol"))
+                member = hull_contains(hull, p, tol["hull_tol"])
                 flag = "true" if member else "false"
                 violation = violation or not member
             else:
@@ -178,7 +169,7 @@ def cmd_critical_points(args, config: RunConfig, out) -> int:
 # ---------------------------------------------------------------------------
 # converge
 
-def cmd_converge(args, config: RunConfig, out) -> int:
+def cmd_converge(args, tol: dict, out) -> int:
     B = load_product_spec(args.spec)
     gamma0 = _parse_complex_flag(args.gamma0, "--gamma0")
     spec = SequenceSpec(gamma0, args.mode, args.rate, args.count)
@@ -265,7 +256,7 @@ def render_product_svg(B: FiniteBlaschkeProduct) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(args, config: RunConfig, out) -> int:
+def cmd_plot(args, tol: dict, out) -> int:
     B = load_product_spec(args.spec)
     svg = render_product_svg(B)
     try:
@@ -287,7 +278,7 @@ def _serialize_product(B: FiniteBlaschkeProduct) -> dict:
     }
 
 
-def _suite_hull(trials: int, rng, config: RunConfig):
+def _suite_hull(trials: int, rng, tol: dict):
     # all products are drawn, then solved in one batch, then checked in order
     products = [random_product(rng, int(rng.integers(2, 9)), 0.9) for _ in range(trials)]
     checked = 0
@@ -298,7 +289,7 @@ def _suite_hull(trials: int, rng, config: RunConfig):
         interior_pts = [p for p, m in cs.interior for _ in range(m)]
         for p, m in cs.interior:
             checked += m
-            if not hull_contains(hull, p, config.tol("hull_tol")):
+            if not hull_contains(hull, p, tol["hull_tol"]):
                 return False, {"checked": checked}, {
                     "reason": "hull containment",
                     "critical_point": [p.real, p.imag],
@@ -306,7 +297,7 @@ def _suite_hull(trials: int, rng, config: RunConfig):
                 }
         for e, m in cs.exterior:
             refl = 1.0 / np.conj(e)
-            if min(abs(refl - p) for p in interior_pts) > config.tol("reflection_tol"):
+            if min(abs(refl - p) for p in interior_pts) > tol["reflection_tol"]:
                 return False, {"checked": checked}, {
                     "reason": "reflection pairing",
                     "exterior_point": [e.real, e.imag],
@@ -315,7 +306,7 @@ def _suite_hull(trials: int, rng, config: RunConfig):
     return True, {"interior_points_checked": checked}, None
 
 
-def _suite_converge(trials: int, rng, config: RunConfig):
+def _suite_converge(trials: int, rng, tol: dict):
     cases = [(FiniteBlaschkeProduct.monomial(2), 1.0 + 0j, 0.45)]
     for _ in range(trials):
         order = int(rng.integers(2, 6))
@@ -332,12 +323,12 @@ def _suite_converge(trials: int, rng, config: RunConfig):
             # seeds 1000-1299); a deviation below 16x that floor is noise, so it
             # need not be smaller than the one before
             floors = [16.0 * np.finfo(float).eps / (1.0 - abs(r.a)) for r in recs]
-            ok = devs[-1] < config.tol("converge_final") and all(
+            ok = devs[-1] < tol["converge_final"] and all(
                 devs[i] > devs[i + 1] or devs[i + 1] <= floors[i + 1]
                 for i in range(len(devs) - 5, len(devs) - 1)
             )
             rot2 = rotation_constant(B, g0)
-            ok = ok and abs(recs[-1].rotation_constant - rot2) <= config.tol("rotation_match")
+            ok = ok and abs(recs[-1].rotation_constant - rot2) <= tol["rotation_match"]
             if not ok:
                 return False, {"final_devs": final_devs}, {
                     "reason": "convergence",
@@ -349,10 +340,10 @@ def _suite_converge(trials: int, rng, config: RunConfig):
     return True, {"max_final_dev": max(final_devs)}, None
 
 
-def _suite_counterexample(trials: int, rng, config: RunConfig):
+def _suite_counterexample(trials: int, rng, tol: dict):
     count = max(16, trials)
     res = counterexample_run(count)
-    tol = config.tol("counterexample_dev")
+    dev = tol["counterexample_dev"]
     renorm = convergence_experiment(
         FiniteBlaschkeProduct.monomial(2),
         SequenceSpec(1.0, "alternating", 0.35, count),
@@ -364,19 +355,19 @@ def _suite_counterexample(trials: int, rng, config: RunConfig):
         "odd_limit_deviation": res.odd_limit_deviation,
         "unrenormalized_oscillation": res.unrenormalized_oscillation,
         "renormalized_deviation": renorm,
-        "even_tends_to_plus_z": res.even_limit_deviation < tol,
-        "odd_tends_to_minus_z": res.odd_limit_deviation < tol,
+        "even_tends_to_plus_z": res.even_limit_deviation < dev,
+        "odd_tends_to_minus_z": res.odd_limit_deviation < dev,
     }
     ok = (
-        res.even_limit_deviation < tol
-        and res.odd_limit_deviation < tol
+        res.even_limit_deviation < dev
+        and res.odd_limit_deviation < dev
         and res.unrenormalized_oscillation > 1.0
-        and renorm < tol
+        and renorm < dev
     )
     return ok, details, None if ok else {"reason": "counterexample", **details}
 
 
-def _suite_valence(trials: int, rng, config: RunConfig):
+def _suite_valence(trials: int, rng, tol: dict):
     for _ in range(trials):
         order = int(rng.integers(1, 7))
         B = random_product(rng, order, 0.85)
@@ -385,7 +376,7 @@ def _suite_valence(trials: int, rng, config: RunConfig):
         radius = default_valence_radius(B, w, fiber)
         rep = valence(B, w, radius, 4096)
         inside = sum(1 for v in fiber if abs(v) < radius)
-        if not (rep.valence == order == inside and rep.residual < config.tol("valence_residual")):
+        if not (rep.valence == order == inside and rep.residual < tol["valence_residual"]):
             return False, {}, {
                 "reason": "valence",
                 "w": [w.real, w.imag],
@@ -396,9 +387,7 @@ def _suite_valence(trials: int, rng, config: RunConfig):
     return True, {"trials": trials}, None
 
 
-def _suite_separation(trials: int, rng, config: RunConfig):
-    from .lab import separation_estimate
-
+def _suite_separation(trials: int, rng, tol: dict):
     B2 = FiniteBlaschkeProduct.monomial(2)
     est = separation_estimate(B2, 0.8, 32)
     if not est.delta >= 1.6 - 1e-9:
@@ -417,8 +406,8 @@ def _suite_separation(trials: int, rng, config: RunConfig):
     return True, {"trials": trials}, None
 
 
-def _suite_fatou(trials: int, rng, config: RunConfig):
-    slack = config.tol("fatou_slack")
+def _suite_fatou(trials: int, rng, tol: dict):
+    slack = tol["fatou_slack"]
     for _ in range(trials):
         order = int(rng.integers(1, 11))
         B = random_product(rng, order, 0.9)
@@ -431,7 +420,7 @@ def _suite_fatou(trials: int, rng, config: RunConfig):
             if order == 1 and abs(q - 1.0) > slack:
                 return False, {}, {"reason": "order-1 equality", "q": q, **_serialize_product(B)}
         scan = fatou_limit_scan(B, [0.9, 0.99, 0.999, 1.0 - 1e-4], 256)
-        if abs(1.0 - scan[-1][1]) > config.tol("fatou_scan"):
+        if abs(1.0 - scan[-1][1]) > tol["fatou_scan"]:
             return False, {}, {"reason": "boundary scan", "min_q": scan[-1][1],
                                **_serialize_product(B)}
     return True, {"trials": trials}, None
@@ -447,15 +436,14 @@ SUITES = {
 }
 
 
-def cmd_verify(args, config: RunConfig, out) -> int:
+def cmd_verify(args, tol: dict, out) -> int:
     runner, default_trials = SUITES[args.suite]
     trials = args.trials if args.trials is not None else default_trials
-    seed = args.seed if args.seed is not None else config.seed
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    ok, details, failure = runner(trials, rng, config)
+    rng = np.random.default_rng(np.random.PCG64(args.seed))
+    ok, details, failure = runner(trials, rng, tol)
     summary = {
         "suite": args.suite,
-        "seed": seed,
+        "seed": args.seed,
         "trials": trials,
         "pass": bool(ok),
         "details": details,
@@ -507,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--trials", type=_trial_count, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=7)
 
     return parser
 
@@ -528,8 +516,8 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        config = RunConfig(tolerances=parse_tolerance_overrides(os.environ.get(ENV_TOL, "")))
-        return COMMANDS[args.command](args, config, out)
+        tol = {**TOLERANCES, **parse_tolerance_overrides(os.environ.get(ENV_TOL, ""))}
+        return COMMANDS[args.command](args, tol, out)
     except (SpecFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import components
 from .moebius import DiscAutomorphism, automorphism_eval, automorphism_inverse
 
 CROSS_TOL = 1e-12
@@ -25,12 +26,16 @@ DISTINCT_TOL = 1e-10
 def pseudo_hyperbolic_distance(z1, z2) -> float:
     """|(z1 - z2) / (1 - conj(z1) z2)|, invariant under disc automorphisms."""
     z1, z2 = complex(z1), complex(z2)
+    if not np.isfinite([z1, z2]).all():
+        raise ValueError("points must be finite")
     return abs((z1 - z2) / (1.0 - np.conj(z1) * z2))
 
 
 def geodesic_point(z1, z2, t: float) -> complex:
     """Point at parameter t in [0, 1] on the hyperbolic segment from z1 to z2."""
     z1, z2 = complex(z1), complex(z2)
+    if not np.isfinite([z1, z2, t]).all():
+        raise ValueError("points and parameter must be finite")
     m = (z1 - z2) / (1.0 - np.conj(z1) * z2)
     return (z1 - m * t) / (1.0 - np.conj(z1) * m * t)
 
@@ -151,17 +156,19 @@ def euclidean_convex_hull(points: list) -> list:
 
 
 def hyperbolic_convex_hull(points: list) -> HyperbolicHull:
-    """Hull of disc points: Klein-map, Euclidean hull, map the vertices back."""
+    """Hull of disc points: Klein-map, Euclidean hull, map the vertices back.
+
+    Points within pseudo-hyperbolic distance DEDUP_TOL, directly or by a
+    chain, are one (`components`), kept as the first of them."""
     pts = [complex(p) for p in points]
     if not pts:
         raise ValueError("hull of an empty point set is undefined")
     for p in pts:
         if not abs(p) < 1.0:
             raise ValueError(f"hull input {p} is not strictly inside the disc")
-    dedup: list = []
-    for p in pts:
-        if all(pseudo_hyperbolic_distance(p, q) > DEDUP_TOL for q in dedup):
-            dedup.append(p)
+    z = np.array(pts)
+    near = np.abs((z[:, None] - z) / (1.0 - np.conj(z)[:, None] * z)) <= DEDUP_TOL
+    dedup = [q for q, first in zip(pts, components(near) == np.arange(len(pts))) if first]
     klein = [poincare_to_klein(p) for p in dedup]
     order = euclidean_convex_hull(klein)
     pv = tuple(dedup[i] for i in order)

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import components
 from .errors import NonConvergenceError
 
 _EPS = np.finfo(float).eps
 # Elements per block: the points of an evaluation block in `blaschke`, the
 # (points x zeros) entries of a block of the fiber pass, of the fiber starts'
 # sampling and of a chunk of `critical_sets`, and the (roots x row) entries
-# of a block of the Aberth coupling.  A block's complex temporaries (128 KB)
+# of the Aberth coupling and rounding links.  A block's complex temporaries (128 KB)
 # stay in cache and below numpy's 256 KB threshold for reusing temporaries
 # in place, which can swap a complex multiply's operands and so its last bit.
 _BLOCK = 8192
@@ -97,11 +98,10 @@ def fiber_roots(a: np.ndarray, gamma: complex, c: np.ndarray, distinct, tol: flo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _, der, _, noise = terms(w, absc[:, None])
     radius = _radius(noise, der)
-    links = _links(w, radius)
-    # every root links to itself; a target with more links has a group
-    for row in (links.sum(axis=(1, 2)) > len(a)).nonzero()[0]:
+    labels = _links(w, radius)
+    for row in (labels != np.arange(len(a))).any(axis=1).nonzero()[0]:
         one = (names[0], [names[1][row]])
-        w[row] = _merge_fiber(w[row], complex(c[row]), links[row], radius[row], product, distinct, tol, one)
+        w[row] = _merge_fiber(w[row], complex(c[row]), labels[row], radius[row], product, distinct, tol, one)
     return w
 
 
@@ -331,8 +331,8 @@ def _radius(noise, d1) -> np.ndarray:
 
 
 def _links(z, radius) -> np.ndarray:
-    """(..., n, n) flags: which converged roots z (..., n) of f rounding
-    cannot tell apart within each row, given their `_radius`.
+    """(rows x n) `components` labels of the converged roots z (rows x n) of
+    f that rounding cannot tell apart within a row, given their `_radius`.
 
     A root z_i is uncertain by about its radius noise_i/|f'(z_i)|, the
     first-order radius within which |f| stays below its rounding bound.
@@ -341,22 +341,15 @@ def _links(z, radius) -> np.ndarray:
     noise/|f'| of q and its neighbours on that ring within 2 pi noise/|f'|.
     Roots closer than 8 times the sum of their radii are linked: two simple
     roots that close have |f| <= 4 noise at their midpoint, as near a double
-    root.
+    root.  Rows are linked in blocks of at most _BLOCK (roots x row) entries.
     """
-    return np.abs(z[..., :, None] - z[..., None, :]) <= 8.0 * (radius[..., :, None] + radius[..., None, :])
-
-
-def _rounding_groups(links) -> list:
-    """Index lists of the groups that the (n x n) `_links` flags join."""
-    label = list(range(len(links)))
-    for i, j in zip(*np.nonzero(np.triu(links, 1))):
-        if label[i] != label[j]:
-            old = label[j]
-            label = [label[i] if x == old else x for x in label]
-    groups: dict = {}
-    for i, x in enumerate(label):
-        groups.setdefault(x, []).append(i)
-    return list(groups.values())
+    labels = np.empty(z.shape, dtype=int)
+    step = max(1, _BLOCK // z.shape[1] ** 2)
+    for i in range(0, len(z), step):
+        zb, rb = z[i:i + step], radius[i:i + step]
+        near = np.abs(zb[:, :, None] - zb[:, None, :]) <= 8.0 * (rb[:, :, None] + rb[:, None, :])
+        labels[i:i + step] = components(near)
+    return labels
 
 
 def _merge_critical(z, u, m) -> list:
@@ -364,8 +357,8 @@ def _merge_critical(z, u, m) -> list:
     per row of the (rows x n) array z; the same rows of u and m hold the
     distinct zeros and multiplicities.
 
-    The iterates of one group (`_rounding_groups`) are one multiple point at
-    their centroid, which rounding perturbs far less than the members.  A
+    The iterates of one group (`_links`) are one multiple point at their
+    centroid, which rounding perturbs far less than the members.  A
     point whose error bound (noise/|S'| for a simple one, the spread of a
     group) reaches the origin is reported as exactly 0, and all such points
     as one.
@@ -378,13 +371,14 @@ def _merge_critical(z, u, m) -> list:
     ds, noise = ds.reshape(z.shape), noise.reshape(z.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = noise / np.abs(ds)
-    links = _links(z, _radius(noise, ds))
-    # every root links to itself; a row without other links has no group
-    alone = links.sum(axis=(1, 2)) == n
+    labels = _links(z, _radius(noise, ds))
     found = []
-    for r in range(rows):
+    for r, row in enumerate(labels.tolist()):
+        groups: dict = {}
+        for i, head in enumerate(row):
+            groups.setdefault(head, []).append(i)
         out: dict = {}
-        for idx in [[i] for i in range(n)] if alone[r] else _rounding_groups(links[r]):
+        for idx in groups.values():
             if len(idx) == 1:
                 loc, bound = complex(z[r, idx[0]]), err[r, idx[0]]
             else:
@@ -396,30 +390,28 @@ def _merge_critical(z, u, m) -> list:
     return found
 
 
-def _merge_fiber(w: np.ndarray, c: complex, links, radius, product, distinct, tol: float, names) -> np.ndarray:
+def _merge_fiber(w: np.ndarray, c: complex, labels, radius, product, distinct, tol: float, names) -> np.ndarray:
     """One target's converged fiber iterates w, with multiple roots merged;
-    radius holds their `_radius`, product(w) returns (B, B', Q'/Q) at the
-    points w (`_product_terms`), and distinct = (u, m) holds the distinct
-    zeros and their multiplicities.
+    labels and radius hold their `_links` labels and `_radius`, product(w)
+    returns (B, B', Q'/Q) at the points w (`_product_terms`), and
+    distinct = (u, m) holds the distinct zeros and their multiplicities.
 
-    The iterates of one group (`_rounding_groups` of their `_links`) are one
-    multiple root.  A group of k iterates, each within 8 k radii of a
-    repeated zero u_j of multiplicity at least k (the ring on which rounding
-    splits a k-fold root, as in `_links`), is that zero, for a target within
-    rounding of 0; it moves onto u_j.  Any other group is a critical point
-    p: its centroid, refined by Newton's method on S (distinct zeros u,
-    multiplicities m) for a double root, where p is a simple critical point.
-    It moves onto p only where each iterate lies within the reach
-    sqrt(2 tol (1+|c|)/|B''(p)|) by which the re-evaluation tolerance lets a
-    double root split.  The Aberth run that refines a double root names its
-    one row as the target, names = (noun, [label]).
+    The iterates of one `_links` group are one multiple root.  A group of k
+    iterates, each within 8 k radii of a repeated zero u_j of multiplicity at
+    least k (the ring on which rounding splits a k-fold root, as in `_links`),
+    is that zero, for a target within rounding of 0; it moves onto u_j.  Any
+    other group is a critical point p: its centroid, refined by Newton's
+    method on S (distinct zeros u, multiplicities m) for a double root, where
+    p is a simple critical point.  It moves onto p only where each iterate
+    lies within the reach sqrt(2 tol (1+|c|)/|B''(p)|) by which the
+    re-evaluation tolerance lets a double root split.  The Aberth run that
+    refines a double root names its row as the target, names = (noun, [label]).
     """
     u, m = distinct
     out = w.copy()
-    for idx in _rounding_groups(links):
+    for head in np.flatnonzero(np.bincount(labels) > 1):
+        idx = (labels == head).nonzero()[0]
         k = len(idx)
-        if k < 2:
-            continue
         loc = complex(np.mean(w[idx]))
         # S has a pole at a repeated zero, so Newton's method on S cannot
         # refine a group there

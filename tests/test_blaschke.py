@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,16 +13,20 @@ from blaschkelab import (
     ZeroProximityError,
     automorphism_eval,
     automorphism_limit_bound,
+    collinearity_residual,
     critical_sets,
     fatou_quotient,
+    geodesic_point,
     hull_contains,
     hyperbolic_convex_hull,
     klein_to_poincare,
     poincare_to_klein,
+    pseudo_hyperbolic_distance,
     random_product,
     valence,
 )
 from blaschkelab import blaschke, polyroots
+from blaschkelab._util import components
 from blaschkelab.blaschke import _BLOCK
 
 NAN = float("nan")
@@ -380,6 +385,44 @@ class TestBoundaryDerivative:
             assert np.max(np.abs(lhs - rhs) / rhs) <= 1e-10
 
 
+def _reference_labels(links):
+    """Smallest index of each point's component, by a depth-first search."""
+    label = [-1] * len(links)
+    for i in range(len(links)):
+        stack = [i]
+        while stack:
+            j = stack.pop()
+            if label[j] < 0:
+                label[j] = i
+                stack.extend(np.flatnonzero(links[j]).tolist())
+    return label
+
+
+class TestComponents:
+    @staticmethod
+    def _links(x, tol=1.0):
+        x = np.asarray(x, dtype=float)
+        return np.abs(x[:, None] - x) <= tol
+
+    def test_chain_is_one_group_in_every_order(self):
+        # neighbours are linked, the ends of the chain are not
+        for order in itertools.permutations(range(5)):
+            assert components(self._links(order)).tolist() == [0] * 5
+
+    def test_separate_groups_and_a_lone_point(self):
+        labels = components(self._links([0, 10, 1, 20, 11, 2]))
+        assert labels.tolist() == [0, 1, 0, 3, 1, 0]
+
+    def test_batch_matches_rows_and_reference(self):
+        rng = np.random.default_rng(15)
+        x = rng.uniform(0, 12, size=(40, 9))
+        links = np.abs(x[:, :, None] - x[:, None, :]) <= 1.0
+        labels = components(links)
+        assert labels.shape == (40, 9)
+        for row, lk in zip(labels, links):
+            assert row.tolist() == components(lk).tolist() == _reference_labels(lk)
+
+
 class TestCriticalPoints:
     def test_monomial(self):
         B = FiniteBlaschkeProduct.monomial(5)
@@ -467,6 +510,15 @@ class TestCriticalPoints:
         cs = B.critical_points()
         assert (0.3 + 0j, 2) in cs.interior
         assert sum(m for _, m in cs.interior) == 3
+
+    def test_chain_of_zeros_gives_one_critical_set_in_every_order(self):
+        # 0.3 and 0.3 + 1.8e-12 are linked only through 0.3 + 0.9e-12
+        first = None
+        for chain in itertools.permutations((0.3, 0.3 + 1.8e-12, 0.3 + 0.9e-12)):
+            cs = FiniteBlaschkeProduct(1.0, chain + (-0.4,)).critical_points()
+            assert [m for _, m in cs.interior] == [1, 2]
+            first = first or cs.interior
+            assert all(abs(p - q) <= 1e-11 for (p, _), (q, _) in zip(cs.interior, first))
 
     def test_fiber_at_critical_value_has_double_point(self):
         B = FiniteBlaschkeProduct(1.0, (0.5, -0.5))
@@ -666,10 +718,10 @@ class TestFiberSolve:
         assert self._peak_of_batch() <= 48e6
 
     def test_memory_of_a_batch_with_blocked_coupling(self):
-        # the coupling runs in blocks of at most _BLOCK (roots x row) entries,
-        # so what remains is mostly the rounding links' (targets x 64 x 64)
-        # arrays, about 20 MB; unblocked it was 41 MB
-        assert self._peak_of_batch() <= 25e6
+        # the coupling and the rounding links run in blocks of at most _BLOCK
+        # (roots x row) entries, so the batch peaks at about 3.5 MB; unblocked
+        # coupling took 41 MB, and unblocked links' (targets x 64 x 64) arrays 20 MB
+        assert self._peak_of_batch() <= 8e6
 
     @pytest.mark.parametrize("radii", [(0.5,), (0.8,), (0.5, 0.8)])
     def test_triple_point_at_the_origin_is_exactly_zero(self, radii):
@@ -764,11 +816,15 @@ _HULL = hyperbolic_convex_hull([0.1, 0.2j, -0.3])
         lambda: automorphism_limit_bound(0.5, 1.0, NAN, 0.2),
         lambda: fatou_quotient(_B, NAN),
         lambda: valence(_B, NAN, 0.9),
+        lambda: pseudo_hyperbolic_distance(0.1, NAN),
+        lambda: collinearity_residual(0.1, 0.2j, NAN),
+        lambda: geodesic_point(0.1, 0.5j, t=NAN),
     ],
     ids=[
         "zero", "imaginary-zero", "fiber-value", "automorphism", "limit-bound",
         "poincare-to-klein", "klein-to-poincare", "geodesic", "hull-input",
         "hull-member", "hull-tolerance", "limit-bound-gamma0", "fatou-quotient", "valence-target",
+        "pseudo-hyperbolic-distance", "collinearity", "geodesic-parameter",
     ],
 )
 def test_nan_is_not_inside_the_disc(call):

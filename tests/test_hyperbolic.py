@@ -144,6 +144,12 @@ class TestHull:
         h = hyperbolic_convex_hull([0.5, 0.5, -0.5])
         assert h.degenerate_kind == "segment"
 
+    def test_chain_of_near_duplicates_is_one_point(self):
+        # neighbours lie 0.88e-12 apart (pseudo-hyperbolic), the ends 1.76e-12
+        h = hyperbolic_convex_hull([0.3, 0.3 + 0.8e-12, 0.3 + 1.6e-12])
+        assert h.degenerate_kind == "point"
+        assert h.poincare_vertices == (0.3,)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hyperbolic_convex_hull([])
