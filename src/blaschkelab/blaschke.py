@@ -245,13 +245,21 @@ class FiniteBlaschkeProduct:
         floats, as the secular sum takes them).
 
         Zeros within DISTINCT_ZERO_TOL, directly or by a chain, are one
-        repeated zero (`components`) at their first, in any order, so the
-        multiplicities always sum to the order.
+        repeated zero (`components`), so the multiplicities always sum to the
+        order.  It sits at h + mean(members - h), with the members in (re, im)
+        order and h the first of them: the same bits in any order of the
+        zeros, and an exact repeat's own bits.
         """
         a = np.array(self.zeros)
         label = components(np.abs(a[:, None] - a) <= DISTINCT_ZERO_TOL)
         head = label == np.arange(a.size)
-        return a[head], np.bincount(label, minlength=a.size)[head].astype(float)
+        u, m = a[head], np.bincount(label, minlength=a.size)[head].astype(float)
+        if len(u) < a.size:
+            for j, k in enumerate(np.flatnonzero(head)):
+                members = sorted(a[label == k].tolist(), key=lambda x: (x.real, x.imag))
+                shift = sum(x - members[0] for x in members) / len(members)
+                u[j] = members[0] + shift if shift else members[0]
+        return u, m
 
     def critical_points(self) -> CriticalSet:
         """All zeros of B', split into interior and exterior points: the one

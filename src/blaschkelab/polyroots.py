@@ -6,16 +6,20 @@ the zeros of the secular sum S = B'/B over the distinct zeros (only the
 interior ones are iterated; their reflections 1/conj(w) enter the coupling),
 and the fiber of c is the root set of Q (B - c), Q = prod_k (1 - conj(a_k) w),
 with B, B' and Q'/Q from one pass over (points x zeros) blocks of the zeros
-and gamma.  Critical points start next to the zeros.  A fiber point starts
-next to its zero if that lies outside the Jensen circle of c, and otherwise
-on that circle where arg B meets arg c, found from the argument of B
-sampled along it.  One iteration solves many root sets side by side, a row
-of roots each: the critical points of many products with the same number
-of distinct zeros, or the fibers of many targets under one product.  The
-coupling between a row's roots, like every (points x zeros) pass, runs in
-blocks of at most _BLOCK entries.  A root stops once its residual is within
-the rounding bound of its evaluation, and roots that rounding cannot tell
-apart are merged into one multiple root, row by row.  A run that gives up
+and gamma.  Critical points start next to the zeros, or between two zeros
+closer than that offset, where S vanishes between the two poles.  A fiber
+point starts next to its zero if that lies outside the Jensen circle of c,
+and otherwise on that circle where arg B meets arg c, found from the
+argument of B sampled along it.  One iteration solves many root sets side
+by side, a row of roots each: the critical points of many products with the
+same number of distinct zeros, or the fibers of many targets under one
+product.  The coupling between a row's roots, like every (points x zeros)
+pass, runs in blocks of at most _BLOCK entries.  Aberth closes on a double
+root only linearly, so a row's last pair, if it is still in that phase,
+moves once to the roots of its local quadratic factor (`_two_root_step`).
+A root stops once its residual is within the rounding bound of its
+evaluation, and roots that rounding cannot tell apart are merged into one
+multiple root, row by row.  A run that gives up
 raises NonConvergenceError naming the rows still moving by the labels its
 caller passed in.  The module works on plain arrays; `critical_roots` and
 `fiber_roots` are its only entry points.
@@ -53,7 +57,9 @@ def critical_roots(u: np.ndarray, m: np.ndarray, names) -> list:
     NonConvergenceError when a root is still moving after the sweep cap,
     naming row r as noun labels[r], names = (noun, labels).
     """
-    found = _aberth(_critical_starts(u), lambda z, rows: _critical_newton(z, u[rows], m[rows]), True, names)
+    zeros = _secular_zeros(u, m)
+    found = _aberth(_critical_starts(u, m), lambda z, rows: _critical_newton(z, [x[rows] for x in zeros]), True,
+                    names)
     return _merge_critical(found, u, m)
 
 
@@ -122,8 +128,10 @@ def _product_terms(w, a, ac, t, gamma):
     sweeps).
     """
     flat = w.reshape(-1)
-    val, der, qlog = (np.empty(flat.shape, dtype=complex) for _ in range(3))
     step = max(1, _BLOCK // len(a))
+    if flat.size <= step:
+        return tuple(x.reshape(w.shape) for x in _product_block(flat[:, None], a, ac, t, gamma))
+    val, der, qlog = (np.empty(flat.shape, dtype=complex) for _ in range(3))
     for i in range(0, flat.size, step):
         val[i:i + step], der[i:i + step], qlog[i:i + step] = _product_block(flat[i:i + step, None], a, ac, t, gamma)
     return val.reshape(w.shape), der.reshape(w.shape), qlog.reshape(w.shape)
@@ -159,7 +167,9 @@ def _aberth(z, newton, mirrored: bool, names) -> np.ndarray:
     couples only within itself.  Each sweep calls newton(z, rows) on the
     live roots z of all rows, flattened, which returns (f/f', |f|, rounding
     bound of f).  A root stops, after taking that sweep's correction, once
-    |f| is within its rounding bound, and stays in the coupling.  After
+    |f| is within its rounding bound, and stays in the coupling.  In the
+    sweep in which a row's live roots are first down to one pair, that pair
+    is offered `_two_root_step` in place of its Aberth corrections.  After
     _MAX_SWEEPS sweeps raises NonConvergenceError, naming each row r with a
     root still moving as noun labels[r], names = (noun, labels).  With
     `mirrored` the roots of f are the iterates together with their
@@ -171,11 +181,23 @@ def _aberth(z, newton, mirrored: bool, names) -> np.ndarray:
     live = np.arange(flat.size)
     # live roots per block of the (roots x row) coupling arrays
     chunk = max(1, _BLOCK // n)
+    # rows whose last pair has been offered the two-root step
+    offered, counted = np.zeros(len(z), dtype=bool), live.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_SWEEPS):
             zl = flat[live]
             # each live root's row and column; one row is indexed, not gathered
             rows, cols = (0, live) if len(z) == 1 else np.divmod(live, n)
+            # the first live root of each row newly down to its last pair, so
+            # never a row of two roots; a single row gets there only once
+            pairs = []
+            if n > 2 and live.size != counted and 2 <= live.size <= 2 * len(z):
+                counted, pairs = live.size, [0]
+                if len(z) > 1:
+                    r = live // n
+                    fresh = (np.bincount(r, minlength=len(z)) == 2) & ~offered
+                    offered |= fresh
+                    pairs = np.searchsorted(r, np.flatnonzero(fresh)).tolist()
             step, size, noise = newton(zl, rows)
             done = (size <= noise) & np.isfinite(noise)
             pull = np.empty(live.size, dtype=complex)
@@ -192,7 +214,10 @@ def _aberth(z, newton, mirrored: bool, names) -> np.ndarray:
             # a root that stops takes its last correction too; a non-finite
             # correction (an iterate on a pole of f) is not taken, so such a
             # root ends at the sweep cap
-            flat[live] = np.where(np.isfinite(corr), zl - corr, zl)
+            new = np.where(np.isfinite(corr), zl - corr, zl)
+            if pairs:
+                _two_root_step(pairs, zl, step, pull, corr, done, new)
+            flat[live] = new
             if mirrored:
                 out = np.abs(flat) > 1.0
                 flat[out] = 1.0 / np.conj(flat[out])
@@ -204,36 +229,76 @@ def _aberth(z, newton, mirrored: bool, names) -> np.ndarray:
                               f"({names[0]} {moving})")
 
 
-def _secular(z, u, m):
-    """(S, S', rounding bound of S, (T, P, R)) at the points z.
+def _two_root_step(pairs, z, step, pull, corr, done, new) -> None:
+    """Moves each pair z_i, z_{i+1} (i in the list pairs) that closes on a double
+    root linearly, neither root stopping and both Aberth corrections above
+    |z_i - z_{i+1}|/16, in `new` to the roots m + (s +- sqrt(s^2 - 4p))/2 of
+    its local factor: y = 1/N - F (N = `step`, F the pull less the partner's
+    term) is q'/q at x = z - m for q(x) = x^2 - s x + p, m the midpoint, so
+    s (1 - y x) + y p = 2 x - y x^2 at both roots.  A pair whose new roots
+    are not within |z_i - z_{i+1}| of m keeps its Aberth corrections."""
+    # a handful of pairs: the test runs on Python scalars
+    zs, cs, ds = z.tolist(), corr.tolist(), done.tolist()
+    go = [i for i in pairs if not (ds[i] or ds[i + 1])
+          and min(abs(cs[i]), abs(cs[i + 1])) > abs(zs[i] - zs[i + 1]) / 16.0]
+    if not go:
+        return
+    ij = np.array([go, [i + 1 for i in go]])
+    zz = z[ij]
+    d, mid = np.abs(zz[0] - zz[1]), 0.5 * (zz[0] + zz[1])
+    x = zz - mid
+    # the partner's term as the pull took it, which it nearly cancels
+    y = 1.0 / step[ij] - pull[ij] + 1.0 / (zz - zz[::-1])
+    a, b = 1.0 - y * x, 2.0 * x - y * x * x
+    det = a[0] * y[1] - a[1] * y[0]
+    s, p = (b[0] * y[1] - b[1] * y[0]) / det, (a[0] * b[1] - a[1] * b[0]) / det
+    root = np.sqrt(s * s - 4.0 * p)
+    root = np.where(np.abs(s + root - 2.0 * x[0]) <= np.abs(s - root - 2.0 * x[0]), root, -root)
+    moved = mid + 0.5 * (s + np.stack([root, -root]))
+    ok = (np.abs(moved - mid) <= d).all(axis=0)  # False where not finite
+    new[ij[:, ok]] = moved[:, ok]
+
+
+def _secular_zeros(u, m) -> tuple:
+    """(u, conj(u), m (1-|u|^2)), the distinct zeros u of multiplicities m
+    as `_secular` takes them, computed once per run."""
+    return u, np.conj(u), m * (1.0 - np.abs(u) ** 2)
+
+
+def _secular(z, zeros):
+    """(S, S', rounding bound of S, sum_k (P_k - R_k)) at the points z, with
+    zeros from `_secular_zeros`.
 
     S = B'/B = sum_k T_k over the distinct zeros u_k of multiplicity m_k, with
     T_k = m_k (1-|u_k|^2) / ((1-conj(u_k) z)(z-u_k)) and
-    d/dz log T_k = P_k - R_k, P_k = conj(u_k)/(1-conj(u_k) z), R_k = 1/(z-u_k);
-    T, P and R are (points x zeros) arrays.  The bound is 4 eps times the
-    size of the summands plus the rounding of z itself, |z| sum_k |T_k'|.
+    d/dz log T_k = P_k - R_k, P_k = conj(u_k)/(1-conj(u_k) z), R_k = 1/(z-u_k).
+    The bound is 4 eps times the size of the summands plus the rounding of z
+    itself, |z| sum_k |T_k'|.
     """
     # in place where possible: at order 128 each (points x zeros) array is
     # a quarter megabyte
-    q = np.subtract(1.0, np.conj(u) * z[:, None])
+    u, uc, weight = zeros
+    q = np.subtract(1.0, uc * z[:, None])
     d = np.subtract(z[:, None], u)
-    t = np.divide(m * (1.0 - np.abs(u) ** 2), q * d)
-    p = np.divide(np.conj(u), q, out=q)
+    t = np.divide(weight, q * d)
+    p = np.divide(uc, q, out=q)
     r = np.divide(1.0, d, out=d)
     dt = p - r
+    logs = dt.sum(axis=1)
     dt *= t
     noise = 4.0 * _EPS * (np.abs(t).sum(axis=1) + np.abs(z) * np.abs(dt).sum(axis=1))
-    return t.sum(axis=1), dt.sum(axis=1), noise, (t, p, r)
+    return t.sum(axis=1), dt.sum(axis=1), noise, logs
 
 
-def _critical_newton(z, u, m):
-    """(N/N', |S|, rounding bound of S) at the points z.
+def _critical_newton(z, zeros):
+    """(N/N', |S|, rounding bound of S) at the points z, with zeros from
+    `_secular_zeros`.
 
     N = S prod_k (1 - conj(u_k) z)(z - u_k) is the polynomial whose roots are
     the critical points that S accounts for, so N'/N = S'/S - sum_k d log T_k.
     """
-    s, ds, noise, (_, p, r) = _secular(z, u, m)
-    return s / (ds - s * (p - r).sum(axis=1)), np.abs(s), noise
+    s, ds, noise, logs = _secular(z, zeros)
+    return s / (ds - s * logs), np.abs(s), noise
 
 
 def _next_to(points: np.ndarray) -> np.ndarray:
@@ -244,11 +309,27 @@ def _next_to(points: np.ndarray) -> np.ndarray:
     return points + 1e-3 * np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _critical_starts(u: np.ndarray) -> np.ndarray:
-    """Starts for the g - 1 interior critical points of each row of u: next
-    to the row's distinct zeros, all but the one nearest the origin."""
-    keep = [sorted(range(len(row)), key=lambda k: abs(row[k]))[1:] for row in u]
-    return _next_to(u[np.arange(len(u))[:, None], keep])
+def _critical_starts(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Starts for the g - 1 interior critical points of each row of u, with
+    multiplicities m: next to the row's distinct zeros, in order of modulus
+    and all but the first.  A zero u_k within the 1e-3 offset of an earlier
+    one starts at the nearest such u_j's weighted point
+    (m_j u_k + m_k u_j)/(m_j + m_k), where S vanishes between close poles."""
+    pick = np.arange(len(u))[:, None], np.argsort(np.abs(u), axis=1, kind="stable")
+    u, m = u[pick], m[pick]
+    mods = np.abs(u)
+    starts, gap = _next_to(u[:, 1:]), np.full((len(u), u.shape[1] - 1), 1e-3)
+    # a zero within 1e-3 of an earlier one lies within 1e-3 in modulus of it
+    # and of each zero between them in this order
+    for off in range(1, u.shape[1]):
+        if not (mods[:, off:] - mods[:, :-off] < 1e-3).any():
+            break
+        dist = np.abs(u[:, off:] - u[:, :-off])
+        near = dist < gap[:, off - 1:]
+        uk, mk, uj, mj = u[:, off:][near], m[:, off:][near], u[:, :-off][near], m[:, :-off][near]
+        gap[:, off - 1:][near] = dist[near]
+        starts[:, off - 1:][near] = (mj * uk + mk * uj) / (mj + mk)
+    return starts
 
 
 def _fiber_starts(a: np.ndarray, gamma: complex, c: np.ndarray) -> np.ndarray:
@@ -366,24 +447,24 @@ def _merge_critical(z, u, m) -> list:
     rows, n = z.shape
     # one row is indexed, not repeated, as in _aberth: a single product
     # rounds exactly as a solve of its own
-    uu, mm = (u[0], m[0]) if rows == 1 else (np.repeat(u, n, axis=0), np.repeat(m, n, axis=0))
-    _, ds, noise, _ = _secular(z.reshape(-1), uu, mm)
+    zeros = [x[0] if rows == 1 else np.repeat(x, n, axis=0) for x in _secular_zeros(u, m)]
+    _, ds, noise, _ = _secular(z.reshape(-1), zeros)
     ds, noise = ds.reshape(z.shape), noise.reshape(z.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = noise / np.abs(ds)
     labels = _links(z, _radius(noise, ds))
     found = []
-    for r, row in enumerate(labels.tolist()):
+    for r, (row, zr, er) in enumerate(zip(labels.tolist(), z.tolist(), err.tolist())):
         groups: dict = {}
         for i, head in enumerate(row):
             groups.setdefault(head, []).append(i)
         out: dict = {}
         for idx in groups.values():
             if len(idx) == 1:
-                loc, bound = complex(z[r, idx[0]]), err[r, idx[0]]
+                loc, bound = zr[idx[0]], er[idx[0]]
             else:
                 loc = complex(np.mean(z[r, idx]))
-                bound = max(abs(z[r, i] - loc) for i in idx)
+                bound = max(abs(zr[i] - loc) for i in idx)
             loc = 0j if abs(loc) <= bound else loc
             out[loc] = out.get(loc, 0) + len(idx)
         found.append(list(out.items()))
@@ -408,7 +489,7 @@ def _merge_fiber(w: np.ndarray, c: complex, labels, radius, product, distinct, t
     refines a double root names its row as the target, names = (noun, [label]).
     """
     u, m = distinct
-    out = w.copy()
+    zeros, out = _secular_zeros(u, m), w.copy()
     for head in np.flatnonzero(np.bincount(labels) > 1):
         idx = (labels == head).nonzero()[0]
         k = len(idx)
@@ -420,11 +501,11 @@ def _merge_fiber(w: np.ndarray, c: complex, labels, radius, product, distinct, t
             out[idx] = u[j]
             continue
         if k == 2:
-            crit = _aberth(np.array([[loc]]), lambda z, rows: _critical_newton(z, u, m), False, names)
+            crit = _aberth(np.array([[loc]]), lambda z, rows: _critical_newton(z, zeros), False, names)
             (loc, _), = _merge_critical(crit, u[None], m[None])[0]
         elif abs(loc) <= max(abs(w[i] - loc) for i in idx):
             loc = 0j
-        s, ds, _, _ = _secular(np.array([loc]), u, m)
+        s, ds, _, _ = _secular(np.array([loc]), zeros)
         # B'' = B' S + B S'
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             val, der_p, _ = product(np.array([loc]))

@@ -97,6 +97,11 @@ def critical_value_input(rng, order, spread):
     return FiniteBlaschkeProduct(complex(np.exp(2j * np.pi * rng.uniform())), zeros), p
 
 
+def double_point_reach(B, c, p):
+    """|B(v) - c| <= eta lets a double root at p split by sqrt(2 eta / |B''(p)|)."""
+    return np.sqrt(2.0 * FIBER_EVAL * (1.0 + abs(c)) / abs(O.second_derivative(B.zeros, B.gamma, p)))
+
+
 class TestTinyTargets:
     """Targets next to 0, whose fibers lie within rounding of the zeros."""
 
@@ -245,11 +250,82 @@ class TestFixedInputs:
         fiber = B.fiber_solve(c)
         assert fiber_error(B, c, fiber) is None
         if delta == 0.0:
-            # |B(v) - c| <= eta lets a double root split by sqrt(2 eta / |B''(p)|)
-            reach = np.sqrt(2.0 * FIBER_EVAL * (1.0 + abs(c)) / abs(O.second_derivative(B.zeros, B.gamma, p)))
-            assert sorted(abs(v - p) for v in fiber)[1] <= reach
+            assert sorted(abs(v - p) for v in fiber)[1] <= double_point_reach(B, c, p)
         pytest.importorskip("mpmath")
         assert O.unmatched(fiber, O.mp_fiber(B.zeros, B.gamma, c), MP_REL) == 0
+
+
+def sweeps_of_first_run(monkeypatch, call):
+    """The number of Aberth sweeps of the first root-finding run that call()
+    starts, counted through the newton callback of polyroots._aberth."""
+    runs = []
+    aberth = polyroots._aberth
+
+    def counting(z, newton, mirrored, names):
+        runs.append(0)
+
+        def counted(zl, rows):
+            runs[-1] += 1
+            return newton(zl, rows)
+
+        return aberth(z, counted, mirrored, names)
+
+    monkeypatch.setattr(polyroots, "_aberth", counting)
+    call()
+    return runs[0]
+
+
+class TestDoubleRoots:
+    """Aberth closes on a double root only linearly; the two-root step and the
+    close-pair critical starts cut those tails."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", [4, 8, 12, 16, 24])
+    def test_fiber_at_a_critical_value_skips_the_linear_tail(self, monkeypatch, order, seed):
+        # with plain Aberth these fibers took 16 to 20 sweeps; a root that is
+        # still converging next to the pair can keep its row from being down
+        # to that pair for a few sweeps (13 at order 24, seed 1)
+        B, p = critical_value_input(np.random.default_rng([order, seed, 16]), order, 0.8)
+        c = complex(O.blaschke(B.zeros, B.gamma, np.array([p]))[0])
+        fiber = []
+        assert sweeps_of_first_run(monkeypatch, lambda: fiber.extend(B.fiber_solve(c))) <= 13
+        assert fiber_error(B, c, fiber) is None
+        assert sorted(abs(v - p) for v in fiber)[1] <= double_point_reach(B, c, p)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_critical_points_between_zero_pairs_within_ten_sweeps(self, monkeypatch, k):
+        # each pair's critical point starts between the two zeros; from
+        # starts 1e-3 off the zeros these took 10 to 17 sweeps
+        B = pair_product(k)
+        found = []
+        assert sweeps_of_first_run(monkeypatch, lambda: found.append(B.critical_points())) <= 10
+        assert critical_error(B, found[0]) is None
+
+    def test_starts_sit_between_close_zeros(self):
+        # S = m_j/(z - u_j) + m_k/(z - u_k) + ... vanishes near the weighted point
+        u = np.array([[0.5, 0.5 + 4e-4, -0.3j, 0.2 + 1e-4j]])
+        m = np.array([[2.0, 1.0, 1.0, 3.0]])
+        starts = polyroots._critical_starts(u, m)
+        # the zero nearest the origin, 0.2 + 1e-4j, starts nothing; 0.5 + 4e-4
+        # is within 1e-3 of 0.5 and starts at (2 (0.5 + 4e-4) + 1 (0.5))/3
+        assert starts.shape == (1, 3)
+        assert np.isclose(starts[0, 2], 0.5 + 4e-4 * 2 / 3, rtol=0.0, atol=1e-15)
+        assert all(abs(abs(s - z) - 1e-3) < 1e-15 for s, z in zip(starts[0, :2], (-0.3j, 0.5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.sampled_from((0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6)),
+       st.floats(0.0, 1.0))
+def test_fiber_near_a_critical_value(order, seed, delta, turn):
+    """Targets at and 1e-14..1e-6 from a known critical value, zeros within
+    0.9: a near-double root that the two-root step resolves.  At the
+    critical value itself there is a double point within reach of p."""
+    B, p = critical_value_input(np.random.default_rng(seed), order, 0.9)
+    c = complex(O.blaschke(B.zeros, B.gamma, np.array([p]))[0]) + delta * np.exp(2j * np.pi * turn)
+    fiber = B.fiber_solve(c)
+    assert fiber_error(B, c, fiber) is None
+    if delta == 0.0:
+        assert sorted(abs(v - p) for v in fiber)[1] <= double_point_reach(B, c, p)
 
 
 def test_critical_point_between_a_close_pair_stays_simple():
