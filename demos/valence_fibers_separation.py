@@ -2,10 +2,10 @@
 """Counting preimages: valence, fibers, and their boundary separation.
 
 A finite Blaschke product of order n takes every value in the disc exactly n
-times.  The winding integral of B'/(B - w) around a circle enclosing the
-fiber counts those preimages without ever solving for them; the fiber solver
-then finds them explicitly, and near the boundary distinct fiber points stay
-a definite distance apart.
+times.  The winding number of B - w around a circle enclosing the fiber,
+certified from its argument increments, counts those preimages without ever
+solving for them; the fiber solver then finds them explicitly, and near the
+boundary distinct fiber points stay a definite distance apart.
 """
 
 import numpy as np

@@ -14,7 +14,6 @@ from .errors import (
     ZeroProximityError,
 )
 from .hyperbolic import (
-    Geodesic,
     HyperbolicHull,
     collinearity_residual,
     euclidean_convex_hull,
@@ -47,7 +46,6 @@ from .lab import (
 )
 from .moebius import (
     DiscAutomorphism,
-    automorphism_compose,
     automorphism_eval,
     automorphism_inverse,
     automorphism_limit_bound,

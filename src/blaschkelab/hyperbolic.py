@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import components
-from .moebius import DiscAutomorphism, automorphism_eval, automorphism_inverse
 
 CROSS_TOL = 1e-12
 DEDUP_TOL = 1e-12
@@ -70,47 +69,6 @@ def klein_to_poincare(k) -> complex:
     if not abs(k) < 1.0:
         raise ValueError("point must lie strictly inside the unit disc")
     return k / (1.0 + math.sqrt(1.0 - abs(k) ** 2))
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """Hyperbolic line {z : gamma (a - z)/(1 - conj(a) z) in [-1, 1]}.
-
-    gamma is canonicalized to have nonnegative imaginary part (the sign does
-    not change the point set), and collapses to +1 when numerically real.
-    """
-
-    a: complex
-    gamma: complex
-
-    def __post_init__(self):
-        a = complex(self.a)
-        if not abs(a) < 1.0:
-            raise ValueError("geodesic parameter a must lie inside the disc")
-        g = complex(self.gamma)
-        g = g / abs(g)
-        if abs(g.imag) <= 1e-12:
-            g = 1.0 + 0j
-        elif g.imag < 0:
-            g = -g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "gamma", g)
-
-    @classmethod
-    def through(cls, z1, z2) -> "Geodesic":
-        """The geodesic through two distinct disc points."""
-        z1, z2 = complex(z1), complex(z2)
-        if pseudo_hyperbolic_distance(z1, z2) <= DISTINCT_TOL:
-            raise ValueError("geodesic requires two distinct points")
-        m = (z1 - z2) / (1.0 - np.conj(z1) * z2)
-        return cls(z1, np.conj(m) / abs(m))
-
-    def point(self, t: float) -> complex:
-        """Point with parameter t in [-1, 1]; endpoints land on the circle."""
-        if not -1.0 <= t <= 1.0:
-            raise ValueError("geodesic parameter must lie in [-1, 1]")
-        T = DiscAutomorphism(self.a, self.gamma)
-        return automorphism_eval(automorphism_inverse(T), t)
 
 
 @dataclass(frozen=True)

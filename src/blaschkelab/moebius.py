@@ -1,4 +1,4 @@
-"""Disc automorphisms and their exact group algebra.
+"""Disc automorphisms, their inverses and the boundary limit bound.
 
 An automorphism of the unit disc is the map
 
@@ -6,9 +6,9 @@ An automorphism of the unit disc is the map
 
 with ``|a| < 1`` and ``|gamma| = 1``.  The rotation ``z -> gamma * z`` is the
 ``(a=0, -gamma)`` case, and the identity is canonically represented by
-``(a=0, gamma=-1)``.  Composition and inversion are done in closed form so
-that the group structure carries no sampling error.  Everything here is a
-pure function of immutable values and safe to call concurrently.
+``(a=0, gamma=-1)``.  The inverse is again such a pair, in closed form.
+Everything here is a pure function of immutable values and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -80,24 +80,6 @@ def automorphism_eval(T: DiscAutomorphism, z):
     if np.any(np.abs(zz) > 1.0 + DOMAIN_SLACK):
         raise ValueError("automorphism evaluation point lies outside the closed disc")
     return uncoerce(T.gamma * (T.a - zz) / den, scalar)
-
-
-def automorphism_compose(S: DiscAutomorphism, T: DiscAutomorphism) -> DiscAutomorphism:
-    """The automorphism U with U(z) = S(T(z)), computed in closed form.
-
-    Writing S = (b, d) and T = (a, g), expanding S(T(z)) and matching it to
-    the canonical form gives
-
-        U.a     = (a - b*conj(g)) / (1 - conj(a)*b*conj(g))
-        U.gamma = -d * (g - b*conj(a)) / (1 - a*conj(b)*g)
-
-    The new gamma is unimodular because |g - conj(a)*b| = |1 - a*conj(b)*g|.
-    """
-    a, g = T.a, T.gamma
-    b, d = S.a, S.gamma
-    new_a = (a - b * np.conj(g)) / (1.0 - np.conj(a) * b * np.conj(g))
-    new_gamma = -d * (g - b * np.conj(a)) / (1.0 - a * np.conj(b) * g)
-    return DiscAutomorphism(new_a, new_gamma)
 
 
 def automorphism_inverse(T: DiscAutomorphism) -> DiscAutomorphism:

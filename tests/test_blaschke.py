@@ -7,7 +7,6 @@ import pytest
 from blaschkelab import (
     DiscAutomorphism,
     FiniteBlaschkeProduct,
-    Geodesic,
     NonConvergenceError,
     PoleProximityError,
     ZeroProximityError,
@@ -810,7 +809,6 @@ _HULL = hyperbolic_convex_hull([0.1, 0.2j, -0.3])
         lambda: automorphism_limit_bound(0.5, 1.0, 1.0, NAN),
         lambda: poincare_to_klein(NAN),
         lambda: klein_to_poincare(NAN),
-        lambda: Geodesic(NAN, 1.0),
         lambda: hyperbolic_convex_hull([0.1, NAN]),
         lambda: hull_contains(_HULL, NAN, 1e-8),
         lambda: hull_contains(_HULL, 0.9, NAN),
@@ -823,7 +821,7 @@ _HULL = hyperbolic_convex_hull([0.1, 0.2j, -0.3])
     ],
     ids=[
         "zero", "imaginary-zero", "fiber-value", "automorphism", "limit-bound",
-        "poincare-to-klein", "klein-to-poincare", "geodesic", "hull-input",
+        "poincare-to-klein", "klein-to-poincare", "hull-input",
         "hull-member", "hull-tolerance", "limit-bound-gamma0", "fatou-quotient", "valence-target",
         "pseudo-hyperbolic-distance", "collinearity", "geodesic-parameter",
     ],

@@ -352,3 +352,29 @@ def test_console_entry_point_runs():
         text=True,
     )
     assert proc.returncode != 0  # no subcommand given is a usage error
+
+
+def test_verify_stdout_is_identical_across_processes():
+    # stdout may depend only on the flags and the seed; the second interpreter
+    # takes fresh pages for every block from 64 KiB up, so its memory layout
+    # differs from the first's
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import blaschkelab
+
+    code = (
+        "from blaschkelab.cli import SUITES, main\n"
+        "for seed in ('7', '1'):\n"
+        "    for suite in sorted(SUITES):\n"
+        "        assert main(['verify', '--suite', suite, '--seed', seed]) == 0\n"
+    )
+    src = str(Path(blaschkelab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = [subprocess.run([sys.executable, "-c", code], env=dict(env, **extra), capture_output=True, text=True,
+                           check=True).stdout
+            for extra in ({}, {"MALLOC_MMAP_THRESHOLD_": "65536"})]
+    assert len(outs[0].splitlines()) == 12
+    assert outs[0] == outs[1]

@@ -9,11 +9,12 @@ every call returns an answer that passes the oracle or raises a typed error.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles as O
-from blaschkelab import CircleStraddleError, FiniteBlaschkeProduct, NonConvergenceError, critical_sets, polyroots
+from blaschkelab import (CircleStraddleError, ContourThroughFiberError, FiniteBlaschkeProduct, NonConvergenceError,
+                         critical_sets, polyroots, valence)
 
 # the checks' tolerances, as in bench/workloads.py
 CRIT_STEP = 1e-6       # Newton distance of a critical point to a zero of B', x max(1, |p|)
@@ -441,3 +442,31 @@ def test_batched_fibers_in_envelope(B, draws):
     assert len(fibers) == len(targets)
     for c, fiber in zip(targets, fibers):
         assert fiber_error(B, c, fiber) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(products(max_order=16), st.floats(0.0, 0.99), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.one_of(st.none(), st.tuples(st.integers(0, 15), st.floats(-12.0, -2.0), st.booleans())))
+def test_valence_in_envelope(B, modulus, turn, place, near):
+    """The winding count on any circle |z| = r, 0 < r < 1, placed anywhere or
+    1e-12..1e-2 from a fiber point's modulus, and at least 1e-12 from every
+    one: the number of fiber points inside by the 50-digit oracle, or a
+    ContourThroughFiberError.  The fiber of 0 is the zeros; under a repeated
+    zero the oracle's root finder stalls on targets far below its 50 digits,
+    and such a draw is rejected."""
+    mpmath = pytest.importorskip("mpmath")
+    w = modulus * np.exp(2j * np.pi * turn)
+    try:
+        mods = np.abs(O.mp_fiber(B.zeros, B.gamma, w) if w else B.zeros)
+    except mpmath.libmp.NoConvergence:
+        reject()
+    r = place
+    if near is not None:
+        k, exponent, outside = near
+        r = mods[k % len(mods)] + (10.0 ** exponent if outside else -(10.0 ** exponent))
+    assume(0.0 < r < 1.0 and np.min(np.abs(mods - r)) >= 1e-12)
+    try:
+        count = valence(B, w, r).valence
+    except ContourThroughFiberError:
+        return
+    assert count == np.count_nonzero(mods < r)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from blaschkelab import (
     DiscAutomorphism,
-    Geodesic,
     automorphism_eval,
     collinearity_residual,
     geodesic_point,
@@ -201,34 +200,3 @@ class TestHullContains:
                 z1, z2 = vs[i], vs[(i + 1) % len(vs)]
                 for t in np.linspace(0, 1, 9):
                     assert hull_contains(h, geodesic_point(z1, z2, t), 1e-9)
-
-
-class TestGeodesicType:
-    def test_through_contains_both_points(self):
-        z1, z2 = 0.3 + 0.2j, -0.4 + 0.5j
-        geo = Geodesic.through(z1, z2)
-        T = DiscAutomorphism(geo.a, geo.gamma)
-        for z in (z1, z2):
-            image = automorphism_eval(T, z)
-            assert abs(image.imag) <= 1e-12
-            assert -1 <= image.real <= 1
-
-    def test_canonical_gamma(self):
-        geo = Geodesic(0.1, -1.0)
-        assert geo.gamma == 1.0
-        geo = Geodesic(0.1, np.exp(-0.5j))
-        assert geo.gamma.imag >= 0
-
-    def test_point_traces_the_line(self):
-        z1, z2 = 0.25, 0.1 + 0.4j
-        geo = Geodesic.through(z1, z2)
-        for t in np.linspace(-0.9, 0.9, 7):
-            p = geo.point(t)
-            assert abs(p) < 1.0
-            if min(abs(p - z1), abs(p - z2)) > 1e-9:
-                assert collinearity_residual(z1, z2, p) <= 1e-10
-
-    def test_endpoints_on_circle(self):
-        geo = Geodesic.through(0.3, 0.5j)
-        assert abs(abs(geo.point(1.0)) - 1.0) <= 1e-12
-        assert abs(abs(geo.point(-1.0)) - 1.0) <= 1e-12

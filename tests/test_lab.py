@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blaschkelab import (
+    ContourThroughFiberError,
     FiniteBlaschkeProduct,
     InvalidAnnulusError,
     NonConvergenceError,
@@ -253,21 +254,54 @@ class TestValence:
         with pytest.raises(NonConvergenceError, match=r"\(targets 0\)"):
             default_valence_radius(B, 0.3 - 0.2j)
 
-    def test_node_count_doubles_once(self):
-        # one 4,096-node pass leaves a residual of 0.148; 8,192 nodes settle
+    def test_counts_next_to_a_fiber_point_near_the_circle(self):
+        # the one fiber point 0.999 lies 1e-4 to 5e-4 inside the contours and
+        # 1e-4 outside the last; the trapezoid sum counted 3 at 0.9991 and
+        # did not settle at 0.9993
         B = FiniteBlaschkeProduct.monomial(1)
-        rep = valence(B, 0.999, 0.9995, 4096)
-        assert rep.valence == 1
-        assert 0.01 < rep.residual <= 0.05
-        assert valence(B, 0.999, 0.9995, 8192) == rep
-        with pytest.raises(NonConvergenceError, match="did not settle"):
-            valence(B, 0.999, 0.9993, 4096)
+        for radius in (0.9991, 0.9993, 0.9995):
+            assert valence(B, 0.999, radius, 4096).valence == 1
+        assert valence(B, 0.999, 0.9989, 4096).valence == 0
 
-    @pytest.mark.xfail(strict=True, reason="the contour sum aliases: 4,096 nodes on |z| = 0.9991 count 3 for the "
-                                           "one fiber point 0.999 inside")
     def test_aliased_count_near_the_circle(self):
         B = FiniteBlaschkeProduct.monomial(1)
         assert valence(B, 0.999, 0.9991, 4096).valence == 1
+
+    def test_targets_near_the_circle_count_the_order(self):
+        # 150 products of orders 2-16 at |w| = 0.99 on the default radius:
+        # the trapezoid sum raised on 105 of them
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            order = int(rng.integers(2, 17))
+            B = random_product(rng, order, 0.9)
+            w = 0.99 * np.exp(2j * np.pi * rng.uniform())
+            assert valence(B, w, default_valence_radius(B, w)).valence == order
+
+    def test_small_circles_around_a_multiple_zero(self):
+        # |B| = r^8 on the contour: the bound from B'/B certifies it where the
+        # global bound on |B'| would need about 1e12 arcs; at r = 1e-100, B
+        # underflows and is within rounding of 0
+        B = FiniteBlaschkeProduct.monomial(8)
+        assert valence(B, 0.0, 0.03).valence == 8
+        with pytest.raises(ContourThroughFiberError):
+            valence(B, 0.0, 1e-100)
+
+    def test_refines_a_flat_contour_in_blocks(self, monkeypatch):
+        # B - B(0) = c z^4 near 0 for zeros equally spaced on |z| = 0.5, so
+        # |B - w| is about 1e-6 on |z| = 0.03 and the count takes 65,536 arcs;
+        # no pass evaluates more than one block of them
+        B = FiniteBlaschkeProduct(1.0, tuple(0.5 * np.exp(0.5j * np.pi * np.arange(4))))
+        w = B.eval(0.0)
+        sizes = []
+        real = FiniteBlaschkeProduct._eval
+
+        def recorded(self, zz):
+            sizes.append(zz.size)
+            return real(self, zz)
+
+        monkeypatch.setattr(FiniteBlaschkeProduct, "_eval", recorded)
+        assert valence(B, w, 0.03).valence == 4
+        assert sum(sizes) >= 8 * polyroots._BLOCK and max(sizes) <= polyroots._BLOCK
 
     def test_invariants(self):
         B = FiniteBlaschkeProduct.monomial(3)

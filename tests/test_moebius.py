@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from blaschkelab import (
     DiscAutomorphism,
     PoleProximityError,
-    automorphism_compose,
     automorphism_eval,
     automorphism_inverse,
     automorphism_limit_bound,
@@ -84,48 +83,6 @@ class TestEval:
             assert abs(abs(w) - 1.0) <= 1e-12
 
 
-class TestCompose:
-    def test_identity_left_and_right(self):
-        T = DiscAutomorphism(0.3 + 0.1j, np.exp(0.4j))
-        ident = DiscAutomorphism.identity()
-        for U in (automorphism_compose(ident, T), automorphism_compose(T, ident)):
-            assert U.a == pytest.approx(T.a, abs=1e-14)
-            assert U.gamma == pytest.approx(T.gamma, abs=1e-14)
-
-    def test_involution_parameters(self):
-        # T_a composed with itself is the identity pair (0, -1)
-        T = DiscAutomorphism(0.5, 1.0)
-        U = automorphism_compose(T, T)
-        assert U.a == pytest.approx(0.0, abs=1e-15)
-        assert U.gamma == pytest.approx(-1.0, abs=1e-15)
-
-    def test_matches_nested_evaluation(self):
-        S = DiscAutomorphism(0.3j, 1j)
-        T = DiscAutomorphism(0.5, 1.0)
-        U = automorphism_compose(S, T)
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            z = disc_point(rng)
-            nested = automorphism_eval(S, automorphism_eval(T, z))
-            assert abs(automorphism_eval(U, z) - nested) <= 1e-12
-
-    @settings(max_examples=40, deadline=None)
-    @given(disc_points, unimodular, disc_points, unimodular)
-    def test_group_closure(self, a1, g1, a2, g2):
-        U = automorphism_compose(DiscAutomorphism(a1, g1), DiscAutomorphism(a2, g2))
-        assert abs(U.a) < 1.0
-        assert abs(abs(U.gamma) - 1.0) <= 1e-12
-
-    @settings(max_examples=40, deadline=None)
-    @given(disc_points)
-    def test_involution_for_every_a(self, a):
-        T = DiscAutomorphism(a, 1.0)
-        U = automorphism_compose(T, T)
-        ident = DiscAutomorphism.identity()
-        assert abs(U.a - ident.a) <= 1e-12
-        assert abs(U.gamma - ident.gamma) <= 1e-12
-
-
 class TestInverse:
     def test_self_inverse_for_gamma_one(self):
         T = DiscAutomorphism(0.37, 1.0)
@@ -144,12 +101,6 @@ class TestInverse:
         for _ in range(20):
             z = disc_point(rng)
             assert abs(automorphism_eval(inv, automorphism_eval(T, z)) - z) <= 1e-13
-
-    def test_compose_with_inverse_is_identity(self):
-        T = DiscAutomorphism(0.2 - 0.6j, np.exp(2.1j))
-        U = automorphism_compose(T, automorphism_inverse(T))
-        assert abs(U.a) <= 1e-12
-        assert abs(U.gamma + 1.0) <= 1e-12
 
 
 class TestLimitBound:
