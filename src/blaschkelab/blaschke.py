@@ -3,8 +3,9 @@
 A product of order n is gamma * prod_k (z_k - z)/(1 - conj(z_k) z) with all
 zeros z_k strictly inside the disc and |gamma| = 1.  The zero multiset plus
 gamma is the only stored representation: values and derivatives are
-multiplied out over a common denominator for each chunk of _CHUNK zeros and
-divided in once per chunk, on fixed-size blocks of points.
+multiplied out in place over a common denominator for each chunk of _CHUNK
+zeros, operands in the order of the formulas (numpy's complex multiply is
+not commutative bit for bit), and divided in once per chunk, on blocks.
 Critical points and fibers are found by `polyroots` from the zeros and
 gamma, without expanding any polynomial; the solver's module holds the one
 block size, _BLOCK, that evaluation here shares with it.  This module
@@ -70,14 +71,22 @@ def _by_blocks(body):
                 out.reshape(-1)[index] = p
         return tuple(outs) if isinstance(part, tuple) else outs[0]
 
+    def run(self, zz, chunk):  # a lone point runs as two
+        if zz.size != 1:
+            return body(self, zz, chunk)
+        # numpy takes an in-place multiply of one element for a reduction, which rounds otherwise
+        part = body(self, np.repeat(zz, 2), chunk)
+        return tuple(p[:1].reshape(zz.shape) for p in part) if isinstance(part, tuple) else part[:1].reshape(zz.shape)
+
     def split(self, zz):
         far = np.abs(zz) > _FAR
         count = np.count_nonzero(far)
         if count in (0, zz.size):
             # a scalar runs as a numpy scalar, whose arithmetic skips the ufunc machinery
-            return body(self, zz[()] if zz.ndim == 0 else zz, 1 if count else _CHUNK)
+            chunk = 1 if count else _CHUNK
+            return body(self, zz[()], chunk) if zz.ndim == 0 else run(self, zz, chunk)
         flat, far = zz.reshape(-1), far.reshape(-1)
-        return put(zz.shape, [(~far, body(self, flat[~far], _CHUNK)), (far, body(self, flat[far], 1))])
+        return put(zz.shape, [(~far, run(self, flat[~far], _CHUNK)), (far, run(self, flat[far], 1))])
 
     def walk(self, zz):
         if zz.size <= _BLOCK:
@@ -172,7 +181,8 @@ class FiniteBlaschkeProduct:
         for (a, c, _), rest in self._chunks(chunk):
             num, den = a - zz, 1.0 - c * zz
             for a, c, _ in rest:
-                num, den = num * (a - zz), den * (1.0 - c * zz)
+                num *= a - zz
+                den *= 1.0 - c * zz
             # a lone far factor divides first: out * num can overflow there
             out = out * (num / den) if chunk == 1 else out * num / den
         return out
@@ -186,7 +196,7 @@ class FiniteBlaschkeProduct:
         """
         zz, scalar = coerce_points(z)
         self._check_poles(zz)
-        return uncoerce(self._value_and_derivative(zz)[1], scalar)
+        return uncoerce(self._derivative(zz), scalar)
 
     def log_derivative(self, z):
         """B'/B at z, the sum of (1 - |z_k|^2)/w_k with w_k = (1 - conj(z_k) z)(z - z_k);
@@ -199,27 +209,31 @@ class FiniteBlaschkeProduct:
     def _log_derivative(self, zz: np.ndarray, chunk: int) -> np.ndarray:
         """sum t_k/w_k, t_k = 1 - |z_k|^2, as one fraction over prod w_k per chunk."""
         self._check_zero_proximity(zz)
-        out = np.zeros(zz.shape, dtype=complex)
+        out = 0.0
         for (a, c, t), rest in self._chunks(chunk):
             q, gap = 1.0 - c * zz, zz - a
             # a lone factor keeps q and gap apart: at far points q * gap overflows
             num, den = (t, q * gap) if rest else (t / q, gap)
             for a, c, t in rest:
                 w = (1.0 - c * zz) * (zz - a)
-                num, den = num * w + t * den, den * w
-            out = out + num / den
+                num *= w
+                num += t * den
+                den *= w
+            out += num / den
         return out
 
     @cached_property
     def _real_parts(self) -> np.ndarray:
-        return np.sort(np.array(self.zeros).real)
+        return np.append(np.sort(np.array(self.zeros).real), np.inf)
+
+    def _near_real_parts(self, x):
+        """Whether a Re z_k lies within 2 ZERO_TOL of x: the first from x - 2 ZERO_TOL on (inf if none)."""
+        return self._real_parts[np.searchsorted(self._real_parts, x - 2.0 * ZERO_TOL)] <= x + 2.0 * ZERO_TOL
 
     def _check_zero_proximity(self, zz) -> None:
         """ZeroProximityError where |z - z_k| <= ZERO_TOL, tested at the points
         with a Re z_k within 2 ZERO_TOL of Re z (a margin for rounding)."""
-        lo = np.searchsorted(self._real_parts, zz.real - 2.0 * ZERO_TOL)
-        hi = np.searchsorted(self._real_parts, zz.real + 2.0 * ZERO_TOL, "right")
-        near = np.reshape(zz, -1)[np.reshape(lo < hi, -1)]
+        near = np.reshape(zz, -1)[np.reshape(self._near_real_parts(zz.real), -1)]
         if near.size == 0:
             return
         for z_k in self.zeros:
@@ -234,9 +248,9 @@ class FiniteBlaschkeProduct:
         """
         tt, scalar = coerce_points(theta)
         w = np.exp(1j * tt.real)
-        out = np.zeros(w.shape, dtype=float)
+        out = 0.0
         for z_k in self.zeros:
-            out = out + (1.0 - abs(z_k) ** 2) / np.abs(w - z_k) ** 2
+            out += (1.0 - abs(z_k) ** 2) / np.abs(w - z_k) ** 2
         return float(out) if scalar else out
 
     @cached_property
@@ -266,8 +280,7 @@ class FiniteBlaschkeProduct:
         entry of `critical_sets([self])`."""
         return critical_sets([self])[0]
 
-    @_by_blocks
-    def _value_and_derivative(self, zz: np.ndarray, chunk: int):
+    def _product_rule(self, zz: np.ndarray, chunk: int):
         """(B, B') at the points zz by the product rule, in one pass: with N, D
         as in _eval, a chunk's derivative is M/D**2, and each zero adds the
         product rule's term, M <- M (z_k - z)(1 - conj(z_k) z) - t_k N D."""
@@ -277,13 +290,19 @@ class FiniteBlaschkeProduct:
             num, den, m = a - zz, 1.0 - c * zz, -t
             for a, c, t in rest:
                 e, q = a - zz, 1.0 - c * zz
-                m = m * e * q - t * num * den
-                num, den = num * e, den * q
+                m *= e
+                m *= q
+                m -= t * num * den
+                num *= e
+                den *= q
             r = 1.0 / den
             b = num * r
             der = der * b + val * (m * r) * r
             val = val * b
         return val, der
+
+    _value_and_derivative = _by_blocks(_product_rule)
+    _derivative = _by_blocks(lambda self, zz, chunk: self._product_rule(zz, chunk)[1])
 
     def fiber_solve(self, c) -> list:
         """All order-many solutions of B(w) = c inside the disc (|c| < 1).

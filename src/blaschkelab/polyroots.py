@@ -36,9 +36,9 @@ _EPS = np.finfo(float).eps
 # Elements per block: the points of an evaluation block in `blaschke`, the
 # (points x zeros) entries of a block of the fiber pass, of the fiber starts'
 # sampling and of a chunk of `critical_sets`, and the (roots x row) entries
-# of the Aberth coupling and rounding links.  A block's complex temporaries (128 KB)
-# stay in cache and below numpy's 256 KB threshold for reusing temporaries
-# in place, which can swap a complex multiply's operands and so its last bit.
+# of the Aberth coupling and rounding links.  A block's complex arrays (128 KB)
+# stay in cache and below numpy's 256 KB threshold for reusing temporaries in
+# place, which can swap a complex multiply's operands and so its last bit: evaluation writes x *= y for x * y.
 _BLOCK = 8192
 # sweeps after which an Aberth root that has not met its stopping test is a failure
 _MAX_SWEEPS = 200
