@@ -4,10 +4,6 @@ Exit codes: 0 success, 1 assertion/theorem violation, 2 usage or parse error,
 3 numerical failure, 4 I/O error.  Output is byte-identical for identical
 (flags, seed) pairs; floats in CSV are printed with 17 significant digits so
 they round-trip exactly.  Random products come from numpy's PCG64 generator.
-
-Tolerances used by the verify suites can be overridden through the
-environment variable BLASCHKE_LAB_TOL_OVERRIDES, a comma-separated list of
-name=value pairs; only the documented names are accepted (see TOLERANCES).
 """
 
 from __future__ import annotations
@@ -15,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from .blaschke import FiniteBlaschkeProduct, critical_sets
+from .blaschke import ZERO_MARGIN, FiniteBlaschkeProduct, critical_sets
 from .errors import (
     CircleStraddleError,
     ContourThroughFiberError,
@@ -46,44 +41,24 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-TOLERANCES = {
-    "hull_tol": 1e-8,            # Klein-model membership tolerance
-    "reflection_tol": 1e-8,      # interior/exterior critical pairing
-    "converge_final": 1e-6,      # final sup deviation of the conjugates
-    "rotation_match": 1e-12,     # rotation constant cross-check
-    "counterexample_dev": 1e-6,  # even/odd/renormalized limit deviations
-    "fatou_slack": 1e-12,        # Schwarz-Pick upper slack
-    "fatou_scan": 1e-3,          # distance of boundary scan minima to 1
-}
+# pass thresholds of the checks; fixed, so that stdout depends only on the
+# flags and the seed and a serialized failure replays exactly
+HULL_TOL = 1e-8             # Klein-model membership tolerance
+REFLECTION_TOL = 1e-8       # interior/exterior critical pairing
+CONVERGE_FINAL = 1e-6       # final sup deviation of the conjugates
+ROTATION_MATCH = 1e-12      # rotation constant cross-check
+COUNTEREXAMPLE_DEV = 1e-6   # even/odd/renormalized limit deviations
+FATOU_SLACK = 1e-12         # Schwarz-Pick upper slack
+FATOU_SCAN = 1e-3           # distance of boundary scan minima to 1
 
-ENV_TOL = "BLASCHKE_LAB_TOL_OVERRIDES"
+# N arcs give N principal args, each within 7 u of exact (u = 2**-53), summed
+# with error at most (N - 1) N pi u: the winding integral is within N^2 u of
+# its integer.  The suite's contours pass on their N = 4096 starting arcs.
+_VALENCE_RESIDUAL = 4096 ** 2 * 2.0 ** -53
 
 
 class SpecFileError(ValueError):
     pass
-
-
-def parse_tolerance_overrides(text: str) -> dict:
-    """Parse 'name=value,name=value'; unknown names, negative and non-finite values are rejected."""
-    out = {}
-    if not text.strip():
-        return out
-    for item in text.split(","):
-        if "=" not in item:
-            raise SpecFileError(f"malformed tolerance override {item!r}")
-        name, _, value = item.partition("=")
-        name = name.strip()
-        if name not in TOLERANCES:
-            raise SpecFileError(
-                f"unknown tolerance {name!r}; known: {', '.join(sorted(TOLERANCES))}"
-            )
-        try:
-            out[name] = float(value)
-        except ValueError as exc:
-            raise SpecFileError(f"bad value for tolerance {name!r}: {value!r}") from exc
-        if not 0.0 <= out[name] < math.inf:
-            raise SpecFileError(f"tolerance {name!r} must be finite and nonnegative, not {value!r}")
-    return out
 
 
 def _as_pair(node, where: str) -> complex:
@@ -116,7 +91,7 @@ def load_product_spec(path: str) -> FiniteBlaschkeProduct:
     zeros = []
     for i, node in enumerate(zeros_node):
         z = _as_pair(node, f"zeros[{i}]")
-        if not abs(z) < 1.0 - 1e-12:
+        if not abs(z) < 1.0 - ZERO_MARGIN:
             raise SpecFileError(f"zeros[{i}]: modulus {abs(z)} is not strictly below 1")
         zeros.append(z)
     return FiniteBlaschkeProduct(gamma, tuple(zeros))
@@ -137,7 +112,7 @@ def _parse_complex_flag(text: str, what: str) -> complex:
 # ---------------------------------------------------------------------------
 # critical-points
 
-def cmd_critical_points(args, tol: dict, out) -> int:
+def cmd_critical_points(args, out) -> int:
     B = load_product_spec(args.spec)
     cs = B.critical_points()
     hull = hyperbolic_convex_hull(B.zeros) if args.hull else None
@@ -146,7 +121,7 @@ def cmd_critical_points(args, tol: dict, out) -> int:
     for region, pairs in (("interior", cs.interior), ("exterior", cs.exterior)):
         for p, mult in pairs:
             if hull is not None and region == "interior":
-                member = hull_contains(hull, p, tol["hull_tol"])
+                member = hull_contains(hull, p, HULL_TOL)
                 flag = "true" if member else "false"
                 violation = violation or not member
             else:
@@ -168,7 +143,7 @@ def cmd_critical_points(args, tol: dict, out) -> int:
 # ---------------------------------------------------------------------------
 # converge
 
-def cmd_converge(args, tol: dict, out) -> int:
+def cmd_converge(args, out) -> int:
     B = load_product_spec(args.spec)
     gamma0 = _parse_complex_flag(args.gamma0, "--gamma0")
     spec = SequenceSpec(gamma0, args.mode, args.rate, args.count)
@@ -255,7 +230,7 @@ def render_product_svg(B: FiniteBlaschkeProduct) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(args, tol: dict, out) -> int:
+def cmd_plot(args, out) -> int:
     B = load_product_spec(args.spec)
     svg = render_product_svg(B)
     try:
@@ -277,7 +252,7 @@ def _serialize_product(B: FiniteBlaschkeProduct) -> dict:
     }
 
 
-def _suite_hull(trials: int, rng, tol: dict):
+def _suite_hull(trials: int, rng):
     # all products are drawn, then solved in one batch, then checked in order
     products = [random_product(rng, int(rng.integers(2, 9)), 0.9) for _ in range(trials)]
     checked = 0
@@ -288,7 +263,7 @@ def _suite_hull(trials: int, rng, tol: dict):
         interior_pts = [p for p, m in cs.interior for _ in range(m)]
         for p, m in cs.interior:
             checked += m
-            if not hull_contains(hull, p, tol["hull_tol"]):
+            if not hull_contains(hull, p, HULL_TOL):
                 return False, {"checked": checked}, {
                     "reason": "hull containment",
                     "critical_point": [p.real, p.imag],
@@ -296,7 +271,7 @@ def _suite_hull(trials: int, rng, tol: dict):
                 }
         for e, m in cs.exterior:
             refl = 1.0 / np.conj(e)
-            if min(abs(refl - p) for p in interior_pts) > tol["reflection_tol"]:
+            if min(abs(refl - p) for p in interior_pts) > REFLECTION_TOL:
                 return False, {"checked": checked}, {
                     "reason": "reflection pairing",
                     "exterior_point": [e.real, e.imag],
@@ -305,7 +280,7 @@ def _suite_hull(trials: int, rng, tol: dict):
     return True, {"interior_points_checked": checked}, None
 
 
-def _suite_converge(trials: int, rng, tol: dict):
+def _suite_converge(trials: int, rng):
     cases = [(FiniteBlaschkeProduct.monomial(2), 1.0 + 0j, 0.45)]
     for _ in range(trials):
         order = int(rng.integers(2, 6))
@@ -322,12 +297,12 @@ def _suite_converge(trials: int, rng, tol: dict):
             # seeds 1000-1299); a deviation below 16x that floor is noise, so it
             # need not be smaller than the one before
             floors = [16.0 * np.finfo(float).eps / (1.0 - abs(r.a)) for r in recs]
-            ok = devs[-1] < tol["converge_final"] and all(
+            ok = devs[-1] < CONVERGE_FINAL and all(
                 devs[i] > devs[i + 1] or devs[i + 1] <= floors[i + 1]
                 for i in range(len(devs) - 5, len(devs) - 1)
             )
             rot2 = rotation_constant(B, g0)
-            ok = ok and abs(recs[-1].rotation_constant - rot2) <= tol["rotation_match"]
+            ok = ok and abs(recs[-1].rotation_constant - rot2) <= ROTATION_MATCH
             if not ok:
                 return False, {"final_devs": final_devs}, {
                     "reason": "convergence",
@@ -339,10 +314,9 @@ def _suite_converge(trials: int, rng, tol: dict):
     return True, {"max_final_dev": max(final_devs)}, None
 
 
-def _suite_counterexample(trials: int, rng, tol: dict):
+def _suite_counterexample(trials: int, rng):
     count = max(16, trials)
     res = counterexample_run(count)
-    dev = tol["counterexample_dev"]
     renorm = convergence_experiment(
         FiniteBlaschkeProduct.monomial(2),
         SequenceSpec(1.0, "alternating", 0.35, count),
@@ -354,25 +328,19 @@ def _suite_counterexample(trials: int, rng, tol: dict):
         "odd_limit_deviation": res.odd_limit_deviation,
         "unrenormalized_oscillation": res.unrenormalized_oscillation,
         "renormalized_deviation": renorm,
-        "even_tends_to_plus_z": res.even_limit_deviation < dev,
-        "odd_tends_to_minus_z": res.odd_limit_deviation < dev,
+        "even_tends_to_plus_z": res.even_limit_deviation < COUNTEREXAMPLE_DEV,
+        "odd_tends_to_minus_z": res.odd_limit_deviation < COUNTEREXAMPLE_DEV,
     }
     ok = (
-        res.even_limit_deviation < dev
-        and res.odd_limit_deviation < dev
+        res.even_limit_deviation < COUNTEREXAMPLE_DEV
+        and res.odd_limit_deviation < COUNTEREXAMPLE_DEV
         and res.unrenormalized_oscillation > 1.0
-        and renorm < dev
+        and renorm < COUNTEREXAMPLE_DEV
     )
     return ok, details, None if ok else {"reason": "counterexample", **details}
 
 
-# N arcs give N principal args, each within 7 u of exact (u = 2**-53), summed
-# with error at most (N - 1) N pi u: the winding integral is within N^2 u of
-# its integer.  The suite's contours pass on their N = 4096 starting arcs.
-_VALENCE_RESIDUAL = 4096 ** 2 * 2.0 ** -53
-
-
-def _suite_valence(trials: int, rng, tol: dict):
+def _suite_valence(trials: int, rng):
     for _ in range(trials):
         order = int(rng.integers(1, 7))
         B = random_product(rng, order, 0.85)
@@ -392,7 +360,7 @@ def _suite_valence(trials: int, rng, tol: dict):
     return True, {"trials": trials}, None
 
 
-def _suite_separation(trials: int, rng, tol: dict):
+def _suite_separation(trials: int, rng):
     B2 = FiniteBlaschkeProduct.monomial(2)
     est = separation_estimate(B2, 0.8, 32)
     if not est.delta >= 1.6 - 1e-9:
@@ -411,21 +379,20 @@ def _suite_separation(trials: int, rng, tol: dict):
     return True, {"trials": trials}, None
 
 
-def _suite_fatou(trials: int, rng, tol: dict):
-    slack = tol["fatou_slack"]
+def _suite_fatou(trials: int, rng):
     for _ in range(trials):
         order = int(rng.integers(1, 11))
         B = random_product(rng, order, 0.9)
         for _ in range(20):
             z = 0.97 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             q = fatou_quotient(B, z)
-            if q > 1.0 + slack:
+            if q > 1.0 + FATOU_SLACK:
                 return False, {}, {"reason": "Schwarz-Pick", "z": [z.real, z.imag], "q": q,
                                    **_serialize_product(B)}
-            if order == 1 and abs(q - 1.0) > slack:
+            if order == 1 and abs(q - 1.0) > FATOU_SLACK:
                 return False, {}, {"reason": "order-1 equality", "q": q, **_serialize_product(B)}
         scan = fatou_limit_scan(B, [0.9, 0.99, 0.999, 1.0 - 1e-4], 256)
-        if abs(1.0 - scan[-1][1]) > tol["fatou_scan"]:
+        if abs(1.0 - scan[-1][1]) > FATOU_SCAN:
             return False, {}, {"reason": "boundary scan", "min_q": scan[-1][1],
                                **_serialize_product(B)}
     return True, {"trials": trials}, None
@@ -441,11 +408,11 @@ SUITES = {
 }
 
 
-def cmd_verify(args, tol: dict, out) -> int:
+def cmd_verify(args, out) -> int:
     runner, default_trials = SUITES[args.suite]
     trials = args.trials if args.trials is not None else default_trials
     rng = np.random.default_rng(np.random.PCG64(args.seed))
-    ok, details, failure = runner(trials, rng, tol)
+    ok, details, failure = runner(trials, rng)
     summary = {
         "suite": args.suite,
         "seed": args.seed,
@@ -475,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blaschke-lab",
         description="Experiments on finite Blaschke products of the unit disc.",
-        epilog=f"Tolerance overrides: set {ENV_TOL} to name=value[,name=value...]; "
-        f"known names: {', '.join(sorted(TOLERANCES))}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -521,8 +486,7 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        tol = {**TOLERANCES, **parse_tolerance_overrides(os.environ.get(ENV_TOL, ""))}
-        return COMMANDS[args.command](args, tol, out)
+        return COMMANDS[args.command](args, out)
     except (SpecFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -79,9 +79,6 @@ class HyperbolicHull:
     klein_vertices: tuple
     degenerate_kind: str  # "point" | "segment" | "polygon"
 
-    def contains(self, z, tol: float) -> bool:
-        return hull_contains(self, z, tol)
-
 
 def _cross(o: complex, a: complex, b: complex) -> float:
     return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)

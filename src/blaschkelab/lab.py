@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .blaschke import FiniteBlaschkeProduct, critical_sets
+from .blaschke import ZERO_MARGIN, FiniteBlaschkeProduct, critical_sets
 from .errors import (
     ContourThroughFiberError,
     BoundaryProximityError,
@@ -182,35 +182,23 @@ def _nested_conjugate_values(B, a, gamma, pts, renormalize=True):
 
 def convergence_experiment(
     B: FiniteBlaschkeProduct,
-    seq,
+    seq: SequenceSpec,
     r: float,
     grid: int = 24,
-    gamma0=None,
 ) -> list:
     """Sup-norm drift of the renormalized conjugates toward the limiting rotation.
 
-    seq is a SequenceSpec or an explicit list of (a_k, gamma_k) pairs; in the
-    latter case gamma0 must be supplied (or is taken as the normalized last
-    a_k gamma_k).  For each k the conjugate is evaluated by composition on a
-    polar grid (grid radii x 4*grid angles, outer radius r) and compared with
-    z -> rot * z where rot = B'(gamma0)/|B'(gamma0)|.
+    For each term (a_k, gamma_k) of seq the conjugate is evaluated by
+    composition on a polar grid (grid radii x 4*grid angles, outer radius r)
+    and compared with z -> rot * z where rot = B'(gamma0)/|B'(gamma0)| at
+    gamma0 = seq.gamma0.
     """
     if not 0.0 < r <= 0.95:
         raise ValueError("compact radius r must lie in (0, 0.95]")
-    if isinstance(seq, SequenceSpec):
-        terms = seq.terms()
-        g0 = seq.gamma0 if gamma0 is None else complex(gamma0)
-    else:
-        terms = [(complex(a), complex(g)) for a, g in seq]
-        if gamma0 is None:
-            last = terms[-1][0] * terms[-1][1]
-            g0 = last / abs(last)
-        else:
-            g0 = complex(gamma0)
-    rot = rotation_constant(B, g0)
+    rot = rotation_constant(B, seq.gamma0)
     pts = _polar_grid(r, grid)
     records = []
-    for k, (a, g) in enumerate(terms, start=1):
+    for k, (a, g) in enumerate(seq.terms(), start=1):
         vals = _nested_conjugate_values(B, a, g, pts, renormalize=True)
         dev = float(np.max(np.abs(vals - rot * pts)))
         records.append(ConvergenceRecord(k, a, g, dev, rot))
@@ -495,7 +483,7 @@ def random_product(rng: np.random.Generator, order: int, zero_radius: float = 0.
     generator state; the documented suites use numpy's PCG64."""
     if order < 1:
         raise ValueError("order must be positive")
-    if not 0.0 < zero_radius < 1.0 - 1e-12:
+    if not 0.0 < zero_radius < 1.0 - ZERO_MARGIN:
         raise ValueError("zero radius must lie in (0, 1)")
     zeros = []
     while len(zeros) < order:

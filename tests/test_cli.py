@@ -13,7 +13,6 @@ from blaschkelab.cli import (
     SpecFileError,
     load_product_spec,
     main,
-    parse_tolerance_overrides,
     render_product_svg,
 )
 
@@ -75,35 +74,6 @@ class TestSpecFile:
         path.write_text("{not json")
         rc, _ = run(["critical-points", str(path)])
         assert rc == EXIT_USAGE
-
-
-class TestToleranceOverrides:
-    def test_parse_known(self):
-        assert parse_tolerance_overrides("hull_tol=1e-6") == {"hull_tol": 1e-6}
-        assert parse_tolerance_overrides("fatou_slack=0") == {"fatou_slack": 0.0}
-
-    def test_unknown_rejected(self):
-        with pytest.raises(SpecFileError):
-            parse_tolerance_overrides("bogus=1")
-
-    def test_env_drives_exit_code(self, tmp_path, monkeypatch):
-        B = FiniteBlaschkeProduct(1.0, (0.5, -0.5))
-        spec = write_spec(tmp_path, B)
-        monkeypatch.setenv("BLASCHKE_LAB_TOL_OVERRIDES", "nonsense=3")
-        rc, _ = run(["critical-points", spec])
-        assert rc == EXIT_USAGE
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
-    def test_non_finite_or_negative_rejected(self, value):
-        with pytest.raises(SpecFileError, match="finite and nonnegative"):
-            parse_tolerance_overrides(f"hull_tol={value}")
-
-    def test_nan_override_is_a_usage_error(self, monkeypatch):
-        # NaN would make every comparison of the fatou suite pass vacuously
-        monkeypatch.setenv("BLASCHKE_LAB_TOL_OVERRIDES", "fatou_slack=nan,fatou_scan=nan")
-        rc, out = run(["verify", "--suite", "fatou", "--trials", "1"])
-        assert rc == EXIT_USAGE
-        assert out == ""
 
 
 class TestCriticalPoints:
@@ -298,9 +268,11 @@ class TestVerify:
         assert calls == [200, 200]
 
     def test_failure_path_serializes_instance(self, monkeypatch):
-        # an impossible tolerance forces the failure branch: exit 1 plus a
+        # an impossible threshold forces the failure branch: exit 1 plus a
         # replayable serialized instance in the summary
-        monkeypatch.setenv("BLASCHKE_LAB_TOL_OVERRIDES", "converge_final=1e-30")
+        import blaschkelab.cli as cli
+
+        monkeypatch.setattr(cli, "CONVERGE_FINAL", 1e-30)
         rc, out = run(["verify", "--suite", "converge", "--trials", "1", "--seed", "7"])
         assert rc == 1
         summary = json.loads(out)
@@ -357,7 +329,8 @@ def test_console_entry_point_runs():
 def test_verify_stdout_is_identical_across_processes():
     # stdout may depend only on the flags and the seed; the second interpreter
     # takes fresh pages for every block from 64 KiB up, so its memory layout
-    # differs from the first's
+    # differs from the first's, and it sees a variable that once overrode a
+    # pass threshold
     import os
     import subprocess
     import sys
@@ -375,6 +348,7 @@ def test_verify_stdout_is_identical_across_processes():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     outs = [subprocess.run([sys.executable, "-c", code], env=dict(env, **extra), capture_output=True, text=True,
                            check=True).stdout
-            for extra in ({}, {"MALLOC_MMAP_THRESHOLD_": "65536"})]
+            for extra in ({}, {"MALLOC_MMAP_THRESHOLD_": "65536",
+                               "BLASCHKE_LAB_TOL_OVERRIDES": "converge_final=1e-30"})]
     assert len(outs[0].splitlines()) == 12
     assert outs[0] == outs[1]

@@ -122,13 +122,6 @@ class TestConvergenceExperiment:
         rot /= abs(rot)
         assert abs(recs[-1].rotation_constant - rot) <= 1e-12
 
-    def test_raw_pair_escape_hatch(self):
-        B = FiniteBlaschkeProduct.monomial(2)
-        pairs = [((1 - 0.5 ** k), 1.0) for k in range(1, 9)]
-        recs = convergence_experiment(B, pairs, 0.5, gamma0=1.0)
-        assert recs[-1].sup_deviation < 1e-3
-        assert [r.k for r in recs] == list(range(1, 9))
-
     def test_order_one_deviation_tends_to_zero(self):
         B = FiniteBlaschkeProduct(np.exp(0.4j), (0.2 + 0.3j,))
         recs = convergence_experiment(B, SequenceSpec(np.exp(0.7j), "radial", 0.4, 14), 0.5)
