@@ -14,7 +14,6 @@ import numpy as np
 from blaschkelab import (
     FiniteBlaschkeProduct,
     SequenceSpec,
-    convergence_experiment,
     counterexample_run,
 )
 from blaschkelab.lab import _nested_conjugate_values
@@ -28,14 +27,8 @@ print(f"  last odd  iterate vs -z : sup deviation {res.odd_limit_deviation:.3e}"
 print(f"  distance between consecutive iterates on |z| <= 0.75: "
       f"{res.unrenormalized_oscillation:.4f}  (stuck near 1.5, never converging)")
 
-renorm = convergence_experiment(
-    FiniteBlaschkeProduct.monomial(2),
-    SequenceSpec(1.0, "alternating", 0.35, COUNT),
-    r=0.5,
-    grid=16,
-)
 print(f"\nrenormalized sequence deviation from z at k={COUNT}: "
-      f"{renorm[-1].sup_deviation:.3e}")
+      f"{res.renormalized_deviation:.3e}")
 
 print("\nsample values at z = 0.4 (watch the sign of the un-renormalized column):")
 B = FiniteBlaschkeProduct.monomial(2)

@@ -44,12 +44,7 @@ from .lab import (
     separation_estimate,
     valence,
 )
-from .moebius import (
-    DiscAutomorphism,
-    automorphism_eval,
-    automorphism_inverse,
-    automorphism_limit_bound,
-)
+from .moebius import DiscAutomorphism, automorphism_eval, automorphism_inverse
 
 __version__ = "0.1.0"
 

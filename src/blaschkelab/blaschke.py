@@ -34,11 +34,10 @@ from .errors import (
     PoleProximityError,
     ZeroProximityError,
 )
-from .moebius import DiscAutomorphism, automorphism_eval, automorphism_inverse
+from .moebius import POLE_TOL, DiscAutomorphism, automorphism_eval, automorphism_inverse
 from .polyroots import _BLOCK, critical_roots, fiber_roots
 
 ZERO_MARGIN = 1e-12
-POLE_TOL = 1e-14
 ZERO_TOL = 1e-12
 CIRCLE_BAND = 1e-9
 DISTINCT_ZERO_TOL = 1e-12
@@ -171,8 +170,6 @@ class FiniteBlaschkeProduct:
         zz, scalar = coerce_points(z)
         self._check_poles(zz)
         return uncoerce(self._eval(zz), scalar)
-
-    __call__ = eval
 
     @_by_blocks
     def _eval(self, zz: np.ndarray, chunk: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .blaschke import ZERO_MARGIN, FiniteBlaschkeProduct, critical_sets
+from .blaschke import _CHUNK, ZERO_MARGIN, FiniteBlaschkeProduct, critical_sets
 from .errors import (
     ContourThroughFiberError,
     BoundaryProximityError,
@@ -40,6 +40,8 @@ from .polyroots import _BLOCK
 
 GOLDEN_FRAC = 0.6180339887498949
 MATCH_TOL = 1e-7
+# a_k = (1 - COUNTEREXAMPLE_RATE**k) gamma_k in `counterexample_run`
+COUNTEREXAMPLE_RATE = 0.35
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,7 @@ class CounterexampleResult(NamedTuple):
     even_limit_deviation: float
     odd_limit_deviation: float
     unrenormalized_oscillation: float
+    renormalized_deviation: float
 
 
 def _polar_grid(r: float, grid: int) -> np.ndarray:
@@ -184,19 +187,18 @@ def convergence_experiment(
     B: FiniteBlaschkeProduct,
     seq: SequenceSpec,
     r: float,
-    grid: int = 24,
 ) -> list:
     """Sup-norm drift of the renormalized conjugates toward the limiting rotation.
 
     For each term (a_k, gamma_k) of seq the conjugate is evaluated by
-    composition on a polar grid (grid radii x 4*grid angles, outer radius r)
+    composition on a polar grid (24 radii x 96 angles, outer radius r)
     and compared with z -> rot * z where rot = B'(gamma0)/|B'(gamma0)| at
     gamma0 = seq.gamma0.
     """
     if not 0.0 < r <= 0.95:
         raise ValueError("compact radius r must lie in (0, 0.95]")
     rot = rotation_constant(B, seq.gamma0)
-    pts = _polar_grid(r, grid)
+    pts = _polar_grid(r, 24)
     records = []
     for k, (a, g) in enumerate(seq.terms(), start=1):
         vals = _nested_conjugate_values(B, a, g, pts, renormalize=True)
@@ -205,49 +207,36 @@ def convergence_experiment(
     return records
 
 
-def counterexample_run(count: int, rate: float = 0.35) -> CounterexampleResult:
+def counterexample_run(count: int) -> CounterexampleResult:
     """Alternating-sign family on B(z) = z**2 where renormalization matters.
 
-    With gamma_k = (-1)**k and a_k = (1 - rate**k) gamma_k the products
+    With gamma_k = (-1)**k and a_k = (1 - 0.35**k) gamma_k the products
     a_k gamma_k increase to 1, so the renormalized conjugates tend to the
     identity rotation; the un-renormalized conjugates split, the even ones
     tending to z and the odd ones to -z.  Returned are the sup deviations of
     the last even / odd un-renormalized iterates from z and -z on the
-    compact |z| <= 0.5, plus the sup distance between the two final
-    consecutive un-renormalized iterates measured on |z| <= 0.75 (where it
-    approaches 2 * 0.75 and cleanly exceeds 1).
+    compact |z| <= 0.5, the sup distance between the two final consecutive
+    un-renormalized iterates measured on |z| <= 0.75 (where it approaches
+    2 * 0.75 and cleanly exceeds 1), and the sup deviation of the last
+    renormalized iterate from z on |z| <= 0.5.
     """
     if count < 6:
         raise ValueError("count must be at least 6")
     B = FiniteBlaschkeProduct.monomial(2)
-    spec = SequenceSpec(1.0, "alternating", rate, count)
-    terms = spec.terms()
+    terms = SequenceSpec(1.0, "alternating", COUNTEREXAMPLE_RATE, count).terms()
+    small, wide = _polar_grid(0.5, 16), _polar_grid(0.75, 16)
 
-    pts_small = _polar_grid(0.5, 16)
-    pts_osc = _polar_grid(0.75, 16)
+    def values(k, pts, renormalize=False):
+        a, g = terms[k - 1]
+        return _nested_conjugate_values(B, a, g, pts, renormalize)
 
-    k_even = count if count % 2 == 0 else count - 1
-    k_odd = count if count % 2 == 1 else count - 1
-
-    a_e, g_e = terms[k_even - 1]
-    even_vals = _nested_conjugate_values(B, a_e, g_e, pts_small, renormalize=False)
-    even_dev = float(np.max(np.abs(even_vals - pts_small)))
-
-    a_o, g_o = terms[k_odd - 1]
-    odd_vals = _nested_conjugate_values(B, a_o, g_o, pts_small, renormalize=False)
-    odd_dev = float(np.max(np.abs(odd_vals + pts_small)))
-
-    a1, g1 = terms[count - 1]
-    a2, g2 = terms[count - 2]
-    osc = float(
-        np.max(
-            np.abs(
-                _nested_conjugate_values(B, a1, g1, pts_osc, renormalize=False)
-                - _nested_conjugate_values(B, a2, g2, pts_osc, renormalize=False)
-            )
-        )
+    k_even, k_odd = (count, count - 1) if count % 2 == 0 else (count - 1, count)
+    return CounterexampleResult(
+        float(np.max(np.abs(values(k_even, small) - small))),
+        float(np.max(np.abs(values(k_odd, small) + small))),
+        float(np.max(np.abs(values(count, wide) - values(count - 1, wide)))),
+        float(np.max(np.abs(values(count, small, renormalize=True) - small))),
     )
-    return CounterexampleResult(even_dev, odd_dev, osc)
 
 
 def fatou_quotient(B: FiniteBlaschkeProduct, z) -> float:
@@ -311,18 +300,18 @@ def _winding(B: FiniteBlaschkeProduct, w: complex, r: float, arcs: int) -> float
     noise bounds |computed f - exact f| at a node, to first order in
     u = 2**-53, doubled.  In `_eval`, a_k - z errs by u and 1 - conj(a_k) z by
     u + sqrt(5) u |a_k| r/q_k, relative, a complex product by sqrt(5) u (2 per
-    zero, 1 per chunk of 8) and a Smith quotient by 11 u (1 per chunk); |B| <= 1,
+    zero, 1 per chunk of _CHUNK) and a Smith quotient by 11 u (1 per chunk); |B| <= 1,
     and subtracting w adds 2 u.  Node placement (3.9 u r) and the float end
     2 pi take 6 u L, which also raises before a midpoint can round onto an end,
     and the test's own rounding, (44 + 4 order) u, half of it per noise term:
-    noise = u (sum_k (11 + 5/q_k) + 18 ceil(order/8) + 26 + 6 L).
+    noise = u (sum_k (11 + 5/q_k) + 18 ceil(order/_CHUNK) + 26 + 6 L).
     """
     a = np.array(B.zeros)
     mods = np.abs(a)
     t, q = 1.0 - mods * mods, 1.0 - mods * r
     L = r * float(np.sum(t / q ** 2))
     u, slack = 2.0 ** -53, 2.0 ** -20
-    noise = u * (float(np.sum(11.0 + 5.0 / q)) + 18 * -(-a.size // 8) + 26.0 + 6.0 * L)
+    noise = u * (float(np.sum(11.0 + 5.0 / q)) + 18 * -(-a.size // _CHUNK) + 26.0 + 6.0 * L)
     step = max(1, _BLOCK // a.size)
 
     def bound(lo, h, f_lo):

@@ -1,4 +1,4 @@
-"""Disc automorphisms, their inverses and the boundary limit bound.
+"""Disc automorphisms and their inverses.
 
 An automorphism of the unit disc is the map
 
@@ -28,14 +28,6 @@ POLE_TOL = 1e-14
 DOMAIN_SLACK = 1e-9
 
 
-def _renormalized_unimodular(gamma) -> complex:
-    g = complex(gamma)
-    mod = abs(g)
-    if not np.isfinite(mod) or mod == 0.0:
-        raise ValueError(f"unimodular constant must be finite and nonzero, got {gamma!r}")
-    return g / mod
-
-
 @dataclass(frozen=True)
 class DiscAutomorphism:
     """Parameter pair (a, gamma) of the map gamma*(a - z)/(1 - conj(a)*z).
@@ -48,23 +40,13 @@ class DiscAutomorphism:
     gamma: complex
 
     def __post_init__(self):
-        a = complex(self.a)
+        a, g = complex(self.a), complex(self.gamma)
         if not abs(a) < 1.0 - INTERIOR_MARGIN:
             raise ValueError(f"automorphism parameter must satisfy |a| < 1, got |a| = {abs(a)}")
+        if not np.isfinite(abs(g)) or g == 0:
+            raise ValueError(f"unimodular constant must be finite and nonzero, got {self.gamma!r}")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "gamma", _renormalized_unimodular(self.gamma))
-
-    @classmethod
-    def identity(cls) -> "DiscAutomorphism":
-        return cls(0.0, -1.0)
-
-    @classmethod
-    def rotation(cls, gamma) -> "DiscAutomorphism":
-        """The rotation z -> gamma*z, i.e. the pair (0, -gamma)."""
-        return cls(0.0, -complex(gamma))
-
-    def __call__(self, z):
-        return automorphism_eval(self, z)
+        object.__setattr__(self, "gamma", g / abs(g))
 
 
 def automorphism_eval(T: DiscAutomorphism, z):
@@ -85,28 +67,3 @@ def automorphism_eval(T: DiscAutomorphism, z):
 def automorphism_inverse(T: DiscAutomorphism) -> DiscAutomorphism:
     """The inverse automorphism, again in closed form: (gamma*a, conj(gamma))."""
     return DiscAutomorphism(T.gamma * T.a, np.conj(T.gamma))
-
-
-def automorphism_limit_bound(a, gamma, gamma0, z) -> float:
-    """Bound 2|gamma0 - a*gamma| / (1 - |z|) on |gamma0 - T_{a,gamma}(z)|.
-
-    The bound holds for every |z| < 1 because the numerator of
-    gamma0 - T(z) splits as (gamma0 - a*gamma) + z*(gamma - conj(a)*gamma0)
-    and both terms have the same modulus.  The computed value of T(z) is
-    checked against the bound; a violation can only come from numerical
-    breakdown and raises ArithmeticError.
-    """
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise ValueError("the bound degenerates for |z| >= 1")
-    gamma = _renormalized_unimodular(gamma)
-    gamma0 = complex(gamma0)  # taken as given so that gamma0 = a*gamma yields bound 0
-    if not np.isfinite(gamma0):
-        raise ValueError("gamma0 must be finite")
-    bound = 2.0 * abs(gamma0 - a * gamma) / (1.0 - abs(z))
-    actual = abs(gamma0 - automorphism_eval(DiscAutomorphism(a, gamma), z))
-    if actual > bound + 1e-12:
-        raise ArithmeticError(
-            f"limit bound violated: |gamma0 - T(z)| = {actual} > {bound} + 1e-12"
-        )
-    return bound

@@ -145,12 +145,7 @@ def test_criterion_03_conjugate_convergence():
 
 def test_criterion_04_counterexample():
     res = counterexample_run(16)
-    renorm = convergence_experiment(
-        FiniteBlaschkeProduct.monomial(2),
-        SequenceSpec(1.0, "alternating", 0.35, 16),
-        0.5,
-        grid=16,
-    )[-1].sup_deviation
+    renorm = res.renormalized_deviation
     ok = (
         res.even_limit_deviation < 1e-6
         and res.odd_limit_deviation < 1e-6

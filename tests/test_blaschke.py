@@ -11,7 +11,6 @@ from blaschkelab import (
     PoleProximityError,
     ZeroProximityError,
     automorphism_eval,
-    automorphism_limit_bound,
     collinearity_residual,
     critical_sets,
     fatou_quotient,
@@ -894,7 +893,7 @@ class TestFiberSolve:
 class TestConjugateBy:
     def test_identity_conjugation_is_noop(self):
         B = FiniteBlaschkeProduct(np.exp(0.9j), (0.3, -0.2 + 0.4j))
-        ident = DiscAutomorphism.identity()
+        ident = DiscAutomorphism(0.0, -1.0)
         f = B.conjugate_by(ident, ident)
         assert abs(f.gamma - B.gamma) <= 1e-12
         got = sorted(f.zeros, key=lambda z: (z.real, z.imag))
@@ -905,7 +904,7 @@ class TestConjugateBy:
         # zeros of B o T_{a,gamma} are T_a(conj(gamma) z_k)
         B = FiniteBlaschkeProduct(np.exp(0.7j), (0.3 + 0.2j, -0.1 + 0.4j, 0.5))
         a, g = 0.3 - 0.25j, np.exp(1.1j)
-        f = B.conjugate_by(DiscAutomorphism(a, g), DiscAutomorphism.identity())
+        f = B.conjugate_by(DiscAutomorphism(a, g), DiscAutomorphism(0.0, -1.0))
         Ta = DiscAutomorphism(a, 1.0)
         want = sorted(
             (complex(automorphism_eval(Ta, np.conj(g) * z)) for z in B.zeros),
@@ -938,13 +937,11 @@ _HULL = hyperbolic_convex_hull([0.1, 0.2j, -0.3])
         lambda: FiniteBlaschkeProduct(1.0, (complex(0.0, NAN),)),
         lambda: _B.fiber_solve(NAN),
         lambda: DiscAutomorphism(NAN, 1.0),
-        lambda: automorphism_limit_bound(0.5, 1.0, 1.0, NAN),
         lambda: poincare_to_klein(NAN),
         lambda: klein_to_poincare(NAN),
         lambda: hyperbolic_convex_hull([0.1, NAN]),
         lambda: hull_contains(_HULL, NAN, 1e-8),
         lambda: hull_contains(_HULL, 0.9, NAN),
-        lambda: automorphism_limit_bound(0.5, 1.0, NAN, 0.2),
         lambda: fatou_quotient(_B, NAN),
         lambda: valence(_B, NAN, 0.9),
         lambda: pseudo_hyperbolic_distance(0.1, NAN),
@@ -952,9 +949,9 @@ _HULL = hyperbolic_convex_hull([0.1, 0.2j, -0.3])
         lambda: geodesic_point(0.1, 0.5j, t=NAN),
     ],
     ids=[
-        "zero", "imaginary-zero", "fiber-value", "automorphism", "limit-bound",
+        "zero", "imaginary-zero", "fiber-value", "automorphism",
         "poincare-to-klein", "klein-to-poincare", "hull-input",
-        "hull-member", "hull-tolerance", "limit-bound-gamma0", "fatou-quotient", "valence-target",
+        "hull-member", "hull-tolerance", "fatou-quotient", "valence-target",
         "pseudo-hyperbolic-distance", "collinearity", "geodesic-parameter",
     ],
 )

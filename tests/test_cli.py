@@ -240,6 +240,15 @@ class TestVerify:
         assert summary["details"]["odd_tends_to_minus_z"] is True
         assert summary["details"]["unrenormalized_oscillation"] > 1.0
 
+    def test_counterexample_deviations_at_the_rounding_floor_pass(self):
+        # at 25 terms 1 - |a_24| is about 1e-11 and the deviations (2e-5 to
+        # 6e-5) pass 1e-6 but stay below 16 eps/(1 - |a_24|): rounding, not a split
+        rc, out = run(["verify", "--suite", "counterexample", "--trials", "25"])
+        assert rc == EXIT_OK
+        summary = json.loads(out)
+        assert summary["pass"] is True
+        assert summary["details"]["even_limit_deviation"] > 1e-6
+
     def test_unknown_suite_usage_error(self):
         rc, _ = run(["verify", "--suite", "everything"])
         assert rc == EXIT_USAGE

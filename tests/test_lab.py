@@ -141,13 +141,7 @@ class TestCounterexample:
         assert res.even_limit_deviation < 1e-6
         assert res.odd_limit_deviation < 1e-6
         assert res.unrenormalized_oscillation > 1.0
-        recs = convergence_experiment(
-            FiniteBlaschkeProduct.monomial(2),
-            SequenceSpec(1.0, "alternating", 0.35, 16),
-            0.5,
-            grid=16,
-        )
-        assert recs[-1].sup_deviation < 1e-6
+        assert res.renormalized_deviation < 1e-6
 
     def test_iterates_match_closed_forms(self):
         # for B = z^2 the un-renormalized conjugates have closed forms:
@@ -278,6 +272,13 @@ class TestValence:
         assert valence(B, 0.0, 0.03).valence == 8
         with pytest.raises(ContourThroughFiberError):
             valence(B, 0.0, 1e-100)
+
+    @pytest.mark.xfail(raises=ContourThroughFiberError, strict=True,
+                       reason="the rounding bound of _winding is absolute, and |B| = r^8 "
+                              "falls below it although B is evaluated to full relative accuracy")
+    @pytest.mark.parametrize("r", [0.01, 0.001])
+    def test_smaller_circles_around_a_multiple_zero(self, r):
+        assert valence(FiniteBlaschkeProduct.monomial(8), 0.0, r).valence == 8
 
     def test_refines_a_flat_contour_in_blocks(self, monkeypatch):
         # B - B(0) = c z^4 near 0 for zeros equally spaced on |z| = 0.5, so

@@ -8,7 +8,6 @@ from blaschkelab import (
     PoleProximityError,
     automorphism_eval,
     automorphism_inverse,
-    automorphism_limit_bound,
 )
 
 
@@ -27,14 +26,14 @@ unimodular = st.builds(lambda t: complex(np.cos(t), np.sin(t)),
 
 class TestEval:
     def test_identity_is_a0_gamma_minus1(self):
-        ident = DiscAutomorphism.identity()
+        ident = DiscAutomorphism(0.0, -1.0)
         assert ident.a == 0 and ident.gamma == -1
         for z in (0.3, 0.5j, -0.2 + 0.7j):
             assert automorphism_eval(ident, z) == pytest.approx(z)
 
     def test_rotation_convention(self):
         g = np.exp(0.77j)
-        rho = DiscAutomorphism.rotation(g)
+        rho = DiscAutomorphism(0.0, -g)
         assert automorphism_eval(rho, 0.4 - 0.1j) == pytest.approx(g * (0.4 - 0.1j))
 
     def test_involution_at_point(self):
@@ -90,8 +89,7 @@ class TestInverse:
         assert inv.a == pytest.approx(T.a) and inv.gamma == pytest.approx(T.gamma)
 
     def test_identity_inverse(self):
-        ident = DiscAutomorphism.identity()
-        inv = automorphism_inverse(ident)
+        inv = automorphism_inverse(DiscAutomorphism(0.0, -1.0))
         assert inv.a == 0 and inv.gamma == -1
 
     def test_round_trips_random_points(self):
@@ -104,21 +102,10 @@ class TestInverse:
 
 
 class TestLimitBound:
-    def test_zero_bound_when_product_matches(self):
-        # gamma0 = a*gamma exactly makes both the bound and the deviation vanish
-        assert automorphism_limit_bound(0.9, 1.0, 0.9, 0.0) == pytest.approx(0.0)
-
-    def test_example_value(self):
-        bound = automorphism_limit_bound(0.9, 1.0, 1.0, 0.5)
-        assert bound == pytest.approx(0.4)
-        actual = abs(1.0 - automorphism_eval(DiscAutomorphism(0.9, 1.0), 0.5))
-        assert actual <= bound + 1e-12
-
-    def test_spiral_parameters(self):
-        a = 0.99 * np.exp(0.01j)
-        automorphism_limit_bound(a, 1.0, 1.0, -0.3)  # raises if the bound fails
-
     def test_uniform_on_compact(self):
+        # |gamma0 - T(z)| <= 2 |gamma0 - a gamma| / (1 - |z|): the numerator of
+        # gamma0 - T(z) is (gamma0 - a gamma) + z (gamma - conj(a) gamma0), two
+        # terms of equal modulus
         rng = np.random.default_rng(3)
         r = 0.7
         grid = r * np.exp(2j * np.pi * np.arange(64) / 64)
@@ -129,7 +116,3 @@ class TestLimitBound:
             T = DiscAutomorphism(a, g)
             worst = max(abs(g0 - automorphism_eval(T, z)) for z in grid)
             assert worst <= 2 * abs(g0 - a * g) / (1 - r) + 1e-12
-
-    def test_degenerate_outside(self):
-        with pytest.raises(ValueError):
-            automorphism_limit_bound(0.5, 1.0, 1.0, 1.0)
