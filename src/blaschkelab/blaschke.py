@@ -22,6 +22,7 @@ B(z) * conj(B(1/conj(z))) = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,13 +48,16 @@ FIBER_EVAL_TOL = 1e-8
 GAMMA_PROBES = (0j, 0.37 + 0.11j)
 
 
-# A chunk multiplies 8 factors z_k - z and 1 - conj(z_k) z (16 for B', B'/B)
-# before it divides.  A factor is at most 1 + |z|, and one that divides is
-# above 1e-14 (the pole check, and the zero check of B'/B), so up to
-# |z| = _FAR no product overflows and no denominator underflows (1e-224 to
-# 1e199).  Beyond _FAR a point takes one zero per chunk, and B' and B'/B
-# divide by one factor at a time.  These bounds fix both constants.
-_CHUNK, _FAR = 8, 2.0 ** 40
+# From |z_k| = _SMALL up, a zero's factor 1 - conj(z_k) z is conj(z_k) (r_k - z),
+# r_k = 1/conj(z_k): one array pass fewer.  Up to |z| = _FAR every factor is at
+# most 2 _FAR and every constant at most 1/_SMALL = _FAR: the 2 _CHUNK factors of
+# a chunk of B' or B'/B stay below 16 (2 _FAR)**32 = 2**996.  A factor that divides
+# is above 1e-14 (the pole check): a chunk's denominator in B, B' is above 1e-224;
+# in B'/B one of z - z_k, z - r_k is (or the zero check's 1e-12), the other above
+# t_k/(2 |z_k|), so it is normal up to |z_k| = 1 - 6e-6, and over _CHUNK/2 zeros
+# for any (1e-208).  Beyond _FAR a point takes chunks of one zero, one division each.
+_CHUNK, _FAR = 16, 2.0 ** 30
+_SMALL = 1.0 / _FAR
 
 
 def _by_blocks(body):
@@ -143,14 +147,19 @@ class FiniteBlaschkeProduct:
         return len(self.zeros)
 
     @cached_property
-    def _factors(self) -> tuple:
-        """(z_k, conj(z_k), 1 - |z_k|^2) for each zero z_k."""
-        return tuple((z, z.conjugate(), 1.0 - abs(z) ** 2) for z in self.zeros)
-
-    def _chunks(self, chunk: int) -> list:
-        """(first factor, the others) of each run of `chunk` zeros."""
-        f = self._factors
-        return [(f[i], f[i + 1:i + chunk]) for i in range(0, len(f), chunk)]
+    def _chunks(self) -> dict:
+        """{1: runs of one zero, _CHUNK: runs of _CHUNK (of _CHUNK/2 if a zero lies past 1 - 6e-6)},
+        each (s, factors).  From _SMALL up a zero gives (z_k, r_k, None, d_k, C d_k): pole factor
+        r_k - z, r_k = 1/conj(z_k), d_k = -t_k/conj(z_k), t_k = 1 - |z_k|^2; below (z_k, None, c_k,
+        -t_k, C d_k): 1 - c_k z, c_k = conj(z_k).  s = 1/C, C the product of the run's conj(z_k) of r_k - z."""
+        f = [(z, 1.0 / z.conjugate(), None, (abs(z) ** 2 - 1.0) / z.conjugate()) if abs(z) >= _SMALL
+             else (z, None, z.conjugate(), abs(z) ** 2 - 1.0) for z in self.zeros]
+        n = _CHUNK if max(map(abs, self.zeros)) <= 1.0 - 6e-6 else _CHUNK // 2
+        runs = {1: [], _CHUNK: []}
+        for size, run in ((k, f[i:i + m]) for k, m in ((1, 1), (_CHUNK, n)) for i in range(0, len(f), m)):
+            C = math.prod(z.conjugate() for z, r, _, _ in run if r is not None)
+            runs[size].append((1.0 / C, tuple(x + (C * x[3],) for x in run)))
+        return runs
 
     def _check_poles(self, zz: np.ndarray) -> None:
         # Zeros satisfy |z_k| < 1 - ZERO_MARGIN, so on the closed disc
@@ -173,15 +182,16 @@ class FiniteBlaschkeProduct:
 
     @_by_blocks
     def _eval(self, zz: np.ndarray, chunk: int) -> np.ndarray:
-        """gamma prod N/D over the chunks, N = prod (z_k - z), D = prod (1 - conj(z_k) z)."""
+        """gamma prod s N/D over the chunks, N = prod (z_k - z), D = prod p_k (_chunks)."""
         out = np.full(zz.shape, self.gamma, dtype=complex)
-        for (a, c, _), rest in self._chunks(chunk):
-            num, den = a - zz, 1.0 - c * zz
-            for a, c, _ in rest:
+        for s, ((a, r, c, _, _), *rest) in self._chunks[chunk]:
+            num, den = a - zz, r - zz if c is None else 1.0 - c * zz
+            for a, r, c, _, _ in rest:
                 num *= a - zz
-                den *= 1.0 - c * zz
-            # a lone far factor divides first: out * num can overflow there
-            out = out * (num / den) if chunk == 1 else out * num / den
+                den *= r - zz if c is None else 1.0 - c * zz
+            # the chunk's value first: out * num can overflow where it does not
+            num *= s / den
+            out = out * num
         return out
 
     def derivative(self, z):
@@ -204,17 +214,17 @@ class FiniteBlaschkeProduct:
 
     @_by_blocks
     def _log_derivative(self, zz: np.ndarray, chunk: int) -> np.ndarray:
-        """sum t_k/w_k, t_k = 1 - |z_k|^2, as one fraction over prod w_k per chunk."""
+        """sum d_k/w_k, w_k = (z_k - z) p_k (_chunks), as one fraction over prod w_k per chunk."""
         self._check_zero_proximity(zz)
         out = 0.0
-        for (a, c, t), rest in self._chunks(chunk):
-            q, gap = 1.0 - c * zz, zz - a
-            # a lone factor keeps q and gap apart: at far points q * gap overflows
-            num, den = (t, q * gap) if rest else (t / q, gap)
-            for a, c, t in rest:
-                w = (1.0 - c * zz) * (zz - a)
+        for _, ((a, r, c, d, _), *rest) in self._chunks[chunk]:
+            e, p = a - zz, r - zz if c is None else 1.0 - c * zz
+            # a lone factor keeps e and p apart: at far points e * p overflows
+            num, den = (d, e * p) if rest else (d / p, e)
+            for a, r, c, d, _ in rest:
+                w = (a - zz) * (r - zz if c is None else 1.0 - c * zz)
                 num *= w
-                num += t * den
+                num += d * den
                 den *= w
             out += num / den
         return out
@@ -279,22 +289,23 @@ class FiniteBlaschkeProduct:
 
     def _product_rule(self, zz: np.ndarray, chunk: int):
         """(B, B') at the points zz by the product rule, in one pass: with N, D
-        as in _eval, a chunk's derivative is M/D**2, and each zero adds the
-        product rule's term, M <- M (z_k - z)(1 - conj(z_k) z) - t_k N D."""
+        and s as in _eval, a chunk's B' is s M/D**2, and each zero adds the
+        product rule's term to M = N'D - ND', M <- M (z_k - z) p_k + d_k N D,
+        kept times C = 1/s so that s/D serves both: B' = (C M) (s/D)**2."""
         val = np.full(zz.shape, self.gamma, dtype=complex)
         der = np.zeros(zz.shape, dtype=complex)
-        for (a, c, t), rest in self._chunks(chunk):
-            num, den, m = a - zz, 1.0 - c * zz, -t
-            for a, c, t in rest:
-                e, q = a - zz, 1.0 - c * zz
+        for s, ((a, r, c, _, dc), *rest) in self._chunks[chunk]:
+            num, den, m = a - zz, r - zz if c is None else 1.0 - c * zz, dc
+            for a, r, c, _, dc in rest:
+                e, p = a - zz, r - zz if c is None else 1.0 - c * zz
                 m *= e
-                m *= q
-                m -= t * num * den
+                m *= p
+                m += dc * num * den
                 num *= e
-                den *= q
-            r = 1.0 / den
-            b = num * r
-            der = der * b + val * (m * r) * r
+                den *= p
+            inv = s / den
+            b = num * inv
+            der = der * b + val * (m * inv) * inv
             val = val * b
         return val, der
 

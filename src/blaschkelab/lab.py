@@ -35,7 +35,7 @@ from .errors import (
     InvalidAnnulusError,
 )
 from .hyperbolic import collinearity_residual, hull_contains, hyperbolic_convex_hull
-from .moebius import DiscAutomorphism, automorphism_eval
+from .moebius import POLE_TOL, DiscAutomorphism, automorphism_eval
 from .polyroots import _BLOCK
 
 GOLDEN_FRAC = 0.6180339887498949
@@ -220,8 +220,11 @@ def counterexample_run(count: int) -> CounterexampleResult:
     2 * 0.75 and cleanly exceeds 1), and the sup deviation of the last
     renormalized iterate from z on |z| <= 0.5.
     """
-    if count < 6:
-        raise ValueError("count must be at least 6")
+    # term k's outer automorphism divides by (1 - a_k^2)(1 - 2 a_k z + a_k^2)/(1 - a_k z)^2,
+    # on |z| <= 0.75 at least about 4 rate**k/1.75: the last term keeps it above POLE_TOL
+    last = int(math.log(POLE_TOL * 1.75 / 4.0) / math.log(COUNTEREXAMPLE_RATE))
+    if not 6 <= count <= last:
+        raise ValueError(f"count must be at least 6 and at most {last}: later terms come within POLE_TOL of a pole")
     B = FiniteBlaschkeProduct.monomial(2)
     terms = SequenceSpec(1.0, "alternating", COUNTEREXAMPLE_RATE, count).terms()
     small, wide = _polar_grid(0.5, 16), _polar_grid(0.75, 16)
@@ -278,6 +281,21 @@ def default_valence_radius(B: FiniteBlaschkeProduct, w, fiber=None) -> float:
     return 0.5 * (1.0 + max(abs(v) for v in fiber))
 
 
+def _noise(q, L: float, chunks: int) -> float:
+    """A bound on |computed f - exact f| at a node of `_winding` on |z| = r, f = B - w, from
+    q_k = 1 - |a_k| r, L and the chunks of `_eval`: first order in u = 2**-53, doubled.  In
+    `_eval`, relative: a_k - z errs by u; r_k = 1/conj(a_k), a Smith quotient of 1, by 5 u,
+    so r_k - z by u + 5 u/q_k, as |r_k - z| = |1 - conj(a_k) z|/|a_k|; 1 - conj(a_k) z by
+    u + sqrt(5) u |a_k| r/q_k, less.  A complex product errs by sqrt(5) u, 3 per zero (N, D
+    and C) and 2 per chunk (N s/D, and into B) less 3 at its first zero; s = 1/C by 5 u and
+    s/D by 11 u (Smith), once per chunk.  |B| <= 1, and subtracting w adds 2 u.  Node
+    placement (3.9 u r) and the float end 2 pi take 6 u L, which also raises before a
+    midpoint can round onto an end, and the test's own rounding, (44 + 4 order) u, half of
+    it per noise term: noise = u (sum_k (20 + 10/q_k) + 28 chunks + 26 + 6 L).
+    """
+    return 2.0 ** -53 * (float(np.sum(20.0 + 10.0 / q)) + 28.0 * chunks + 26.0 + 6.0 * L)
+
+
 def _winding(B: FiniteBlaschkeProduct, w: complex, r: float, arcs: int) -> float:
     """Winding number of f = B - w around 0 on |z| = r: the sum of the arg
     increments between nodes over 2 pi, certified (Ying & Katz 1988).
@@ -295,23 +313,13 @@ def _winding(B: FiniteBlaschkeProduct, w: complex, r: float, arcs: int) -> float
     than r h from every zero takes K = M (|B(z_j)| + 2 noise) e^{M h}, where
     M = r sum_k t_k/(q_k d_k) bounds |z B'/B| on it (d_k its distance to a_k):
     small circles around a multiple zero pass with it.  Its distances shrink
-    and K grows by 2**-20, relative, for their rounding.
-
-    noise bounds |computed f - exact f| at a node, to first order in
-    u = 2**-53, doubled.  In `_eval`, a_k - z errs by u and 1 - conj(a_k) z by
-    u + sqrt(5) u |a_k| r/q_k, relative, a complex product by sqrt(5) u (2 per
-    zero, 1 per chunk of _CHUNK) and a Smith quotient by 11 u (1 per chunk); |B| <= 1,
-    and subtracting w adds 2 u.  Node placement (3.9 u r) and the float end
-    2 pi take 6 u L, which also raises before a midpoint can round onto an end,
-    and the test's own rounding, (44 + 4 order) u, half of it per noise term:
-    noise = u (sum_k (11 + 5/q_k) + 18 ceil(order/_CHUNK) + 26 + 6 L).
+    and K grows by 2**-20, relative, for their rounding.  noise is `_noise`.
     """
     a = np.array(B.zeros)
     mods = np.abs(a)
     t, q = 1.0 - mods * mods, 1.0 - mods * r
     L = r * float(np.sum(t / q ** 2))
-    u, slack = 2.0 ** -53, 2.0 ** -20
-    noise = u * (float(np.sum(11.0 + 5.0 / q)) + 18 * -(-a.size // _CHUNK) + 26.0 + 6.0 * L)
+    noise, slack = _noise(q, L, len(B._chunks[_CHUNK])), 2.0 ** -20
     step = max(1, _BLOCK // a.size)
 
     def bound(lo, h, f_lo):

@@ -251,24 +251,37 @@ def same_bits(x, y) -> bool:
 
 def chunk_formulas(B, zz, chunk):
     """(B, B', B'/B) at the points zz (at most one block, or a numpy scalar)
-    by the chunk formulas of the README as plain expressions, with the
-    kernels' operations in the kernels' operand order.  With t = 1 - |a|^2,
-    e = a - z, q = 1 - conj(a) z and w = q (z - a) for each zero a, a chunk
-    of B is prod e / prod q, of B' the product rule's M / D**2 with
-    M <- M e q - t N D, and of B'/B one fraction, num <- num w + t den."""
-    f = [(a, a.conjugate(), 1.0 - abs(a) ** 2) for a in B.zeros]
+    by the reflected chunk formulas of the README as plain expressions, with
+    the kernels' operations in the kernels' operand order.  For each zero a,
+    with t = 1 - |a|^2 and e = a - z: from |a| = 1/_FAR up, p = r - z with
+    r = 1/conj(a) and d = -t/conj(a); below, p = 1 - conj(a) z and d = -t.
+    C is the product of a chunk's conj(a) of the first kind and s = 1/C.  A
+    chunk of B is N (s/D), N = prod e and D = prod p; of B' it is
+    (C M) (s/D)**2 with C M <- C M e p + (C d) N D; of B'/B one fraction,
+    num <- num e p + d den over den = prod e p."""
+    def factor(a, z):
+        return 1.0 / a.conjugate() - z if abs(a) >= 1.0 / blaschke._FAR else 1.0 - a.conjugate() * z
+
+    def constant(a):
+        t = 1.0 - abs(a) ** 2
+        return -t / a.conjugate() if abs(a) >= 1.0 / blaschke._FAR else -t
+
     b = val = np.full(np.shape(zz), B.gamma, dtype=complex)
     der = s = np.zeros(np.shape(zz), dtype=complex)
-    for (a, c, t), *rest in (f[i:i + chunk] for i in range(0, len(f), chunk)):
-        n, d, m = a - zz, 1.0 - c * zz, -t
-        sn, sd = (t, (1.0 - c * zz) * (zz - a)) if rest else (t / (1.0 - c * zz), zz - a)
-        for a, c, t in rest:
-            e, q, w = a - zz, 1.0 - c * zz, (1.0 - c * zz) * (zz - a)
-            m = m * e * q - t * n * d
-            n, d, sn, sd = n * e, d * q, sn * w + t * sd, sd * w
-        b = b * (n / d) if chunk == 1 else b * n / d
-        r = 1.0 / d
-        der, val, s = der * (n * r) + val * (m * r) * r, val * (n * r), s + sn / sd
+    for run in (B.zeros[i:i + chunk] for i in range(0, B.order, chunk)):
+        C = 1.0
+        for a in run:
+            C = C * a.conjugate() if abs(a) >= 1.0 / blaschke._FAR else C
+        a, *rest = run
+        n, d, m = a - zz, factor(a, zz), C * constant(a)
+        sn, sd = (constant(a), (a - zz) * factor(a, zz)) if rest else (constant(a) / factor(a, zz), a - zz)
+        for a in rest:
+            e, p, w = a - zz, factor(a, zz), (a - zz) * factor(a, zz)
+            m = m * e * p + C * constant(a) * n * d
+            n, d, sn, sd = n * e, d * p, sn * w + constant(a) * sd, sd * w
+        inv = (1.0 / C) / d
+        b = b * (n * inv)
+        der, val, s = der * (n * inv) + val * (m * inv) * inv, val * (n * inv), s + sn / sd
     return b, der, s
 
 
@@ -283,10 +296,18 @@ class TestBitsOfTheChunkFormulas:
         parts = [chunk_formulas(B, z[i:i + _BLOCK], chunk) for i in range(0, z.size, _BLOCK)]
         return [np.concatenate(x) for x in zip(*parts)]
 
-    @pytest.mark.parametrize("order", [1, 7, 8, 9, 16, 64])
-    def test_arrays_of_three_blocks(self, order):
-        rng = np.random.default_rng([order, 40])
-        B = random_product(rng, order, 0.9)
+    @staticmethod
+    def threshold_product(rng, order):
+        """A random product with zeros at 0, one ulp below 1/_FAR, at it and
+        one ulp above, in random places."""
+        small = 1.0 / blaschke._FAR
+        zeros = list(random_product(rng, order, 0.9).zeros)
+        special = [0j, np.nextafter(small, 0.0) + 0j, 1j * small, -np.nextafter(small, 1.0) + 0j]
+        for place, a in zip(rng.permutation(order), special):
+            zeros[place] = complex(a)
+        return FiniteBlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), tuple(zeros))
+
+    def check_arrays_of_three_blocks(self, B, rng):
         # inside and outside the disc
         z = 1.5 * TestBlockedEvaluation.grid(rng, 3 * _BLOCK + 5)
         for method, ref in zip(self.METHODS, self.by_blocks(B, z, blaschke._CHUNK)):
@@ -300,10 +321,12 @@ class TestBitsOfTheChunkFormulas:
         for method, ref in zip(self.METHODS[:2], refs):
             assert same_bits(getattr(B, method)(on), ref), method
 
-    @pytest.mark.parametrize("order", [1, 9, 64])
-    def test_far_points(self, order):
-        rng = np.random.default_rng([order, 41])
-        B = random_product(rng, order, 0.9)
+    @pytest.mark.parametrize("order", [1, 7, 8, 9, 15, 16, 17, 64])
+    def test_arrays_of_three_blocks(self, order):
+        rng = np.random.default_rng([order, 40])
+        self.check_arrays_of_three_blocks(random_product(rng, order, 0.9), rng)
+
+    def check_far_points(self, B, rng):
         far = 10.0 ** rng.uniform(13, 160, size=200) * np.exp(2j * np.pi * rng.uniform(size=200))
         assert np.all(np.abs(far) > blaschke._FAR)
         disc = TestBlockedEvaluation.grid(rng, 300)
@@ -316,16 +339,46 @@ class TestBitsOfTheChunkFormulas:
                 assert same_bits(out[:near.size], chunk_formulas(B, near, blaschke._CHUNK)[k]), method
                 assert same_bits(out[near.size:], chunk_formulas(B, away, 1)[k]), method
 
-    @pytest.mark.parametrize("order", [1, 8, 17, 64])
-    def test_scalars(self, order):
-        rng = np.random.default_rng([order, 42])
-        B = random_product(rng, order, 0.9)
+    @pytest.mark.parametrize("order", [1, 9, 64])
+    def test_far_points(self, order):
+        rng = np.random.default_rng([order, 41])
+        self.check_far_points(random_product(rng, order, 0.9), rng)
+
+    def check_scalars(self, B, rng):
         z = np.concatenate([1.5 * TestBlockedEvaluation.grid(rng, 40), 1e50 * TestBlockedEvaluation.grid(rng, 5)])
         for x in z:
             refs = chunk_formulas(B, x, 1 if abs(x) > blaschke._FAR else blaschke._CHUNK)
             for method, ref in zip(self.METHODS, refs):
                 assert same_bits(getattr(B, method)(complex(x)), complex(ref)), method
                 assert same_bits(getattr(B, method)(np.array(x)), ref), method
+
+    @pytest.mark.parametrize("order", [1, 8, 15, 16, 17, 64])
+    def test_scalars(self, order):
+        rng = np.random.default_rng([order, 42])
+        self.check_scalars(random_product(rng, order, 0.9), rng)
+
+    @pytest.mark.parametrize("order", [4, 15, 16, 17, 40])
+    def test_zeros_at_and_around_the_reflection_threshold(self, order):
+        # a zero at 0 and one just below 1/_FAR keep 1 - conj(z_k) z; the
+        # zeros at and just above it take r_k - z
+        rng = np.random.default_rng([order, 44])
+        B = self.threshold_product(rng, order)
+        forms = [run[0][1] is None for _, run in B._chunks[1]]  # r_k, None for 1 - conj(z_k) z
+        assert sorted(forms) == [False] * (order - 2) + [True] * 2
+        self.check_arrays_of_three_blocks(B, rng)
+        self.check_far_points(B, rng)
+        self.check_scalars(B, rng)
+
+    def test_a_zero_next_to_the_circle_halves_the_chunks(self):
+        # past 1 - 6e-6 in modulus, 16 pairs of factors of B'/B could underflow
+        rng = np.random.default_rng(45)
+        zeros = random_product(rng, 20, 0.9).zeros
+        B = FiniteBlaschkeProduct(1j, zeros[:5] + (1.0 - 1e-6,) + zeros[5:])
+        assert [len(run) for _, run in B._chunks[blaschke._CHUNK]] == [8, 8, 5]
+        assert [len(run) for _, run in FiniteBlaschkeProduct(1j, zeros)._chunks[blaschke._CHUNK]] == [16, 4]
+        z = 1.5 * TestBlockedEvaluation.grid(rng, _BLOCK + 5)
+        for method, ref in zip(self.METHODS, self.by_blocks(B, z, blaschke._CHUNK // 2)):
+            assert same_bits(getattr(B, method)(z), ref), method
 
     def test_boundary_derivative_modulus(self):
         rng = np.random.default_rng(43)
@@ -352,7 +405,7 @@ class TestChunkedEvaluation:
         t_k = (1 - |a_k|^2)/((1 - conj(a_k) z)(z - a_k)); z must avoid the zeros."""
         a = np.array(B.zeros)[:, None]
         b = B.gamma * np.prod((a - z) / (1.0 - np.conj(a) * z), axis=0)
-        t = (1.0 - np.abs(a) ** 2) / ((1.0 - np.conj(a) * z) * (z - a))
+        t = (1.0 - np.abs(a) ** 2) / (1.0 - np.conj(a) * z) / (z - a)  # two steps: far out the product overflows
         s, size = np.sum(t, axis=0), np.sum(np.abs(t), axis=0)
         return b, b * s, s, np.abs(b) * size, size
 
@@ -371,8 +424,8 @@ class TestChunkedEvaluation:
 
     @pytest.mark.parametrize("k", [0, 3, 7, 8, 12, 15, 16])
     def test_derivative_at_a_zero_in_each_place_of_a_chunk(self, k):
-        # first, middle and last place of the first and second chunk, and a
-        # lone zero in the last; b_k'(a_k) = -1/(1 - |a_k|^2) times the others
+        # first, middle and last places of a chunk of 16, and a lone zero
+        # in the last; b_k'(a_k) = -1/(1 - |a_k|^2) times the others
         B = random_product(np.random.default_rng(17), 17, 0.9)
         a_k = B.zeros[k]
         others = np.delete(np.array(B.zeros), k)
@@ -384,7 +437,7 @@ class TestChunkedEvaluation:
 
     @pytest.mark.filterwarnings("error")
     def test_next_to_a_zero_of_multiplicity_eight(self):
-        # the eight equal factors fill one chunk, whose numerator is 1e-240
+        # the eight equal factors share one chunk, whose numerator is 1e-240
         rest = (0.5 + 0.2j, -0.3j, 0.7)
         B = FiniteBlaschkeProduct(1j, (0j,) * 8 + rest)
         z = 1e-30 * np.exp(2j * np.pi * np.arange(8) / 8)
@@ -396,6 +449,22 @@ class TestChunkedEvaluation:
         w = 1e-11 * np.exp(2j * np.pi * np.arange(8) / 8)
         s = self.reference(B, w)[2]
         assert np.all(np.abs(B.log_derivative(w) - s) <= 1e-14 * np.abs(s))
+
+    @pytest.mark.filterwarnings("error")
+    def test_next_to_sixteen_zeros_at_the_circle(self):
+        # 1e-12 to 1e-10 from a 16-fold zero 1e-11 inside the circle, and from
+        # its pole: each factor of B'/B is about 1e-20 or less, so one chunk
+        # of all sixteen would underflow.  A point delta from the zero or pole
+        # is conditioned as u/delta (see test_accuracy_across_the_factor_split)
+        a = 1.0 - 1e-11
+        B = FiniteBlaschkeProduct(1.0, (a,) * 16 + (0.3 - 0.2j,))
+        delta = np.array([3e-12, 1e-11, 1e-10])[:, None] * np.exp(2j * np.pi * np.arange(8) / 8)
+        z = np.concatenate([a + delta, 1.0 / a + delta]).ravel()
+        b, d, s, d_scale, s_scale = self.reference(B, z)
+        tol = 8 * 17 * self.EPS * np.sum(1.0 / np.abs(1.0 - np.conj(np.array(B.zeros))[:, None] * z), axis=0)
+        assert np.all(np.abs(B.eval(z) - b) <= tol * np.abs(b))
+        assert np.all(np.abs(B.derivative(z) - d) <= tol * d_scale)
+        assert np.all(np.abs(B.log_derivative(z) - s) <= tol * s_scale)
 
     @pytest.mark.parametrize("method", TestBlockedEvaluation.METHODS)
     def test_far_points_leave_the_disc_points_alone(self, method):
@@ -432,6 +501,70 @@ class TestChunkedEvaluation:
         assert np.all(np.abs(b * np.conj(b_star) - 1.0) <= tol)
         assert np.all(np.abs(B.derivative(z) - d_ref) <= tol * np.abs(d_ref) + floor)
         assert np.all(np.abs(B.log_derivative(z) - s_ref) <= tol * np.abs(s_ref) + floor)
+
+    @staticmethod
+    def split_product(rng, origin):
+        """An order-17 product with zeros at 0 (or at 1e-300), half of 1/_FAR,
+        at it, twice it, 1/2 j and just inside 1 - 1e-12, in random places and directions
+        among random zeros: the factor split at 1/_FAR, seen from both sides."""
+        small = 1.0 / blaschke._FAR
+        special = [0j if origin else 1e-300j, 0.5 * small, -1j * small, -2.0 * small, 0.5j,
+                   np.nextafter(1.0 - blaschke.ZERO_MARGIN, 0.0)]
+        zeros = list(random_product(rng, 17, 0.9).zeros)
+        for place, a in zip(rng.permutation(17), special):
+            zeros[place] = complex(a)
+        return FiniteBlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), tuple(zeros))
+
+    @pytest.mark.parametrize("origin", [True, False])
+    def test_accuracy_across_the_factor_split(self, origin):
+        rng = np.random.default_rng([17, origin])
+        B = self.split_product(rng, origin)
+        a = np.array(B.zeros)[:, None]
+        # inside the disc and on the circle, where a point within delta of a
+        # zero near the circle or of its pole is conditioned as u/delta by the
+        # rounding of conj(z_k) z, or of r_k, alike: the points keep 1e-3 off,
+        # as in test_matches_the_factor_by_factor_product
+        z = np.concatenate([np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000)),
+                            np.exp(2j * np.pi * rng.uniform(size=2000))])
+        z = z[(np.min(np.abs(1.0 - np.conj(a) * z), axis=0) > 1e-3) & (np.min(np.abs(z - a), axis=0) > 1e-3)]
+        assert z.size > 3000
+        # outside, |1 - conj(z_k) z| = |eps| of 1e-13 next to the poles 2j,
+        # -1j _FAR (on both sides of _FAR) and -_FAR/2 of the zeros 1/2 j,
+        # -1j/_FAR and -2/_FAR: their reciprocals are exact, and so is
+        # 1 - conj(z_k) z
+        eps = (rng.integers(-600, 600, size=(3, 40)) + 1j * rng.integers(-600, 600, size=(3, 40))) * 2.0 ** -52
+        eps = eps[np.abs(eps) > 0.5e-13]
+        for pole in (2j, -1j * blaschke._FAR, -0.5 * blaschke._FAR):
+            near = pole * (1.0 + eps)
+            assert np.all(np.abs(np.abs(1.0 - np.conj(a) * near).min(axis=0) - np.abs(eps)) == 0.0)
+            z = np.concatenate([z, near])
+        assert np.any(np.abs(z) > blaschke._FAR) and np.any((np.abs(z) > 1e8) & (np.abs(z) < blaschke._FAR))
+        b, d, s, d_scale, s_scale = self.reference(B, z)
+        # arrays, and every 20th point as a scalar
+        for f, ref, scale in ((B.eval, b, np.abs(b)), (B.derivative, d, d_scale), (B.log_derivative, s, s_scale)):
+            assert np.all(np.abs(f(z) - ref) <= 1e-13 * scale)
+            assert np.all(np.abs(np.array([f(complex(x)) for x in z[::20]]) - ref[::20]) <= 1e-13 * scale[::20])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("modulus", [1e3, 1e20, 1e100, 1e200])
+    @pytest.mark.parametrize("origin", [True, False])
+    def test_far_points_across_the_factor_split(self, origin, modulus):
+        # against the factor-by-factor reference, and the reflection identities of
+        # test_far_points_satisfy_the_reflection_identities for B and B'.  With
+        # a zero at or next to 0, B(z*) is about |z*|: B'(z) = conj(B'(z*))
+        # (B(z)/z)**2 squares no small value, and B'/B at z* would be within
+        # 1e-12 of that zero
+        rng = np.random.default_rng([17, origin, 3])
+        B = self.split_product(rng, origin)
+        z = modulus * np.exp(2j * np.pi * rng.uniform(size=16))
+        b, d, s, d_scale, s_scale = self.reference(B, z)
+        for f, ref, scale in ((B.eval, b, np.abs(b)), (B.derivative, d, d_scale), (B.log_derivative, s, s_scale)):
+            assert np.all(np.abs(f(z) - ref) <= 1e-13 * scale)
+        star = 1.0 / np.conj(z)
+        tol = 8 * B.order * self.EPS
+        assert np.all(np.abs(B.eval(z) * np.conj(B.eval(star)) - 1.0) <= tol)
+        d_ref = np.conj(B.derivative(star)) * (B.eval(z) / z) * (B.eval(z) / z)
+        assert np.all(np.abs(B.derivative(z) - d_ref) <= tol * np.abs(d_ref))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", [0, 1])

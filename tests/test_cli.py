@@ -249,6 +249,16 @@ class TestVerify:
         assert summary["pass"] is True
         assert summary["details"]["even_limit_deviation"] > 1e-6
 
+    def test_counterexample_stops_at_its_last_term(self, capsys):
+        # 1 - a_31^2 B(T(z)) stays above moebius.POLE_TOL on the grid, term 32's
+        # does not: 32 terms are refused before any is evaluated
+        rc, out = run(["verify", "--suite", "counterexample", "--trials", "31"])
+        assert rc == EXIT_OK and json.loads(out)["pass"] is True
+        capsys.readouterr()
+        rc, out = run(["verify", "--suite", "counterexample", "--trials", "32"])
+        assert rc == EXIT_USAGE and out == ""
+        assert "at most 31" in capsys.readouterr().err
+
     def test_unknown_suite_usage_error(self):
         rc, _ = run(["verify", "--suite", "everything"])
         assert rc == EXIT_USAGE

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from blaschkelab import (
     separation_estimate,
     valence,
 )
-from blaschkelab import polyroots
+from blaschkelab import blaschke, lab, polyroots
 
 
 def rand_disc(rng, radius=0.8):
@@ -167,6 +168,14 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             counterexample_run(3)
 
+    def test_last_term(self, monkeypatch):
+        # up to term 31 the outer automorphism's denominator stays above
+        # moebius.POLE_TOL on |z| <= 0.75; term 32 is refused before any evaluation
+        assert counterexample_run(31).unrenormalized_oscillation > 1.0
+        monkeypatch.setattr(lab, "_nested_conjugate_values", None)
+        with pytest.raises(ValueError, match="at most 31"):
+            counterexample_run(32)
+
 
 class TestFatou:
     def test_automorphism_equality(self):
@@ -296,6 +305,56 @@ class TestValence:
         monkeypatch.setattr(FiniteBlaschkeProduct, "_eval", recorded)
         assert valence(B, w, 0.03).valence == 4
         assert sum(sizes) >= 8 * polyroots._BLOCK and max(sizes) <= polyroots._BLOCK
+
+    def test_noise_bounds_the_rounding_at_the_nodes(self):
+        # |computed B - w - exact| at 512 contour nodes of 50 products of
+        # orders 1-64, half of them with zeros at 0, at 1e-300 or under
+        # 1/_FAR, where factors keep 1 - conj(a_k) z, and some with a zero at
+        # 1 - 1e-7, which halves the chunks.  Exact: the nodes to 40
+        # digits from mpmath, and the product in 40-digit decimal arithmetic
+        # from the exact values of the floats (mpmath over these 400,000
+        # factors would take a minute)
+        mpmath = pytest.importorskip("mpmath")
+        dec = np.vectorize(decimal.Decimal, otypes=[object])
+        with mpmath.workdps(40):
+            turns = [mpmath.expjpi(mpmath.mpf(2 * j) / 512) for j in range(512)]
+            cos, sin = dec([str(x.real) for x in turns]), dec([str(x.imag) for x in turns])
+        lo = 2.0 * np.pi * np.arange(512) / 512
+        rng = np.random.default_rng(512)
+        orders = [1, 64] + [int(2.0 ** rng.uniform(0, 6)) for _ in range(48)]
+        worst = 0.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            for k, order in enumerate(orders):
+                zeros = list(random_product(rng, order, 0.95).zeros)
+                if k % 2:
+                    for place in rng.choice(order, size=min(order, 3), replace=False):
+                        zeros[place] = complex(rng.choice([0.0, 1e-300, rng.uniform(0, 1) / blaschke._FAR]))
+                elif k % 3 == 0:  # chunks of half the size
+                    zeros[0] = (1.0 - 1e-7) * np.exp(2j * np.pi * rng.uniform())
+                B = FiniteBlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), tuple(zeros))
+                r = rng.uniform(0.05, 0.99)
+                w = 0.99 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                f = B._eval(r * np.exp(1j * lo)) - w
+                # gamma N/D - w, N = prod (a - z), D = prod (1 - conj(a) z)
+                zr, zi = decimal.Decimal(r) * cos, decimal.Decimal(r) * sin
+                nr, ni = decimal.Decimal(B.gamma.real), decimal.Decimal(B.gamma.imag)
+                dr, di = decimal.Decimal(1), decimal.Decimal(0)
+                for a in B.zeros:
+                    ar, ai = decimal.Decimal(a.real), decimal.Decimal(a.imag)
+                    er, ei = ar - zr, ai - zi
+                    qr, qi = 1 - ar * zr - ai * zi, ai * zr - ar * zi
+                    nr, ni, dr, di = nr * er - ni * ei, nr * ei + ni * er, dr * qr - di * qi, dr * qi + di * qr
+                size = dr * dr + di * di
+                exact_r = (nr * dr + ni * di) / size - decimal.Decimal(w.real)
+                exact_i = (ni * dr - nr * di) / size - decimal.Decimal(w.imag)
+                err = np.hypot((dec(f.real) - exact_r).astype(float), (dec(f.imag) - exact_i).astype(float))
+                mods = np.abs(np.array(B.zeros))
+                q = 1.0 - mods * r
+                noise = lab._noise(q, r * float(np.sum((1.0 - mods * mods) / q ** 2)),
+                                   len(B._chunks[blaschke._CHUNK]))
+                worst = max(worst, float(np.max(err)) / noise)
+        assert 0.0 < worst <= 1.0
 
     def test_invariants(self):
         B = FiniteBlaschkeProduct.monomial(3)
