@@ -16,7 +16,7 @@ from blaschkelab import (
     SequenceSpec,
     counterexample_run,
 )
-from blaschkelab.lab import _nested_conjugate_values
+from blaschkelab.lab import _conjugates
 
 COUNT = 14
 
@@ -32,9 +32,8 @@ print(f"\nrenormalized sequence deviation from z at k={COUNT}: "
 
 print("\nsample values at z = 0.4 (watch the sign of the un-renormalized column):")
 B = FiniteBlaschkeProduct.monomial(2)
-spec = SequenceSpec(1.0, "alternating", 0.35, COUNT)
+terms = SequenceSpec(1.0, "alternating", 0.35, COUNT).terms()
 z = np.array([0.4 + 0j])
-for k, (a, g) in enumerate(spec.terms(), start=1):
-    raw = _nested_conjugate_values(B, a, g, z, renormalize=False)[0]
-    fixed = _nested_conjugate_values(B, a, g, z, renormalize=True)[0]
-    print(f"  k={k:2d}  un-renormalized {raw.real:+.6f}  renormalized {fixed.real:+.6f}")
+pairs = zip(_conjugates(B, terms, z, renormalize=False), _conjugates(B, terms, z))
+for k, (raw, fixed) in enumerate(pairs, start=1):
+    print(f"  k={k:2d}  un-renormalized {raw[0].real:+.6f}  renormalized {fixed[0].real:+.6f}")

@@ -100,6 +100,36 @@ def _by_blocks(body):
     return walk
 
 
+def _chunk_factors(zeros, sizes) -> dict:
+    """{size: runs of size zeros (of size/2 if a zero lies past 1 - 6e-6)} for each of sizes, each run
+    (s, factors).  From _SMALL up a zero gives (z_k, r_k, None, d_k, C d_k): pole factor r_k - z,
+    r_k = 1/conj(z_k), d_k = -t_k/conj(z_k), t_k = 1 - |z_k|^2; below (z_k, None, c_k, -t_k, C d_k):
+    1 - c_k z, c_k = conj(z_k).  s = 1/C, C the product of the run's conj(z_k) of r_k - z."""
+    f = [(z, 1.0 / z.conjugate(), None, (abs(z) ** 2 - 1.0) / z.conjugate()) if abs(z) >= _SMALL
+         else (z, None, z.conjugate(), abs(z) ** 2 - 1.0) for z in zeros]
+    near = max(map(abs, zeros)) > 1.0 - 6e-6
+    runs = {size: [] for size in sizes}
+    for size, m in ((size, (size + 1) // 2 if near else size) for size in sizes):
+        for run in (f[i:i + m] for i in range(0, len(f), m)):
+            C = math.prod(z.conjugate() for z, r, _, _ in run if r is not None)
+            runs[size].append((1.0 / C, tuple(x + (C * x[3],) for x in run)))
+    return runs
+
+
+def _product(gamma, runs, zz: np.ndarray) -> np.ndarray:
+    """gamma prod s N/D over the runs (`_chunk_factors`), N = prod (z_k - z), D = prod p_k."""
+    out = np.full(zz.shape, gamma, dtype=complex)
+    for s, ((a, r, c, _, _), *rest) in runs:
+        num, den = a - zz, r - zz if c is None else 1.0 - c * zz
+        for a, r, c, _, _ in rest:
+            num *= a - zz
+            den *= r - zz if c is None else 1.0 - c * zz
+        # the chunk's value first: out * num can overflow where it does not
+        num *= s / den
+        out = out * num
+    return out
+
+
 @dataclass(frozen=True)
 class CriticalSet:
     """Zeros of B' split by position: inside the open disc and outside.
@@ -148,18 +178,8 @@ class FiniteBlaschkeProduct:
 
     @cached_property
     def _chunks(self) -> dict:
-        """{1: runs of one zero, _CHUNK: runs of _CHUNK (of _CHUNK/2 if a zero lies past 1 - 6e-6)},
-        each (s, factors).  From _SMALL up a zero gives (z_k, r_k, None, d_k, C d_k): pole factor
-        r_k - z, r_k = 1/conj(z_k), d_k = -t_k/conj(z_k), t_k = 1 - |z_k|^2; below (z_k, None, c_k,
-        -t_k, C d_k): 1 - c_k z, c_k = conj(z_k).  s = 1/C, C the product of the run's conj(z_k) of r_k - z."""
-        f = [(z, 1.0 / z.conjugate(), None, (abs(z) ** 2 - 1.0) / z.conjugate()) if abs(z) >= _SMALL
-             else (z, None, z.conjugate(), abs(z) ** 2 - 1.0) for z in self.zeros]
-        n = _CHUNK if max(map(abs, self.zeros)) <= 1.0 - 6e-6 else _CHUNK // 2
-        runs = {1: [], _CHUNK: []}
-        for size, run in ((k, f[i:i + m]) for k, m in ((1, 1), (_CHUNK, n)) for i in range(0, len(f), m)):
-            C = math.prod(z.conjugate() for z, r, _, _ in run if r is not None)
-            runs[size].append((1.0 / C, tuple(x + (C * x[3],) for x in run)))
-        return runs
+        """{1: runs of one zero, _CHUNK: runs of _CHUNK} (`_chunk_factors`)."""
+        return _chunk_factors(self.zeros, (1, _CHUNK))
 
     def _check_poles(self, zz: np.ndarray) -> None:
         # Zeros satisfy |z_k| < 1 - ZERO_MARGIN, so on the closed disc
@@ -180,19 +200,7 @@ class FiniteBlaschkeProduct:
         self._check_poles(zz)
         return uncoerce(self._eval(zz), scalar)
 
-    @_by_blocks
-    def _eval(self, zz: np.ndarray, chunk: int) -> np.ndarray:
-        """gamma prod s N/D over the chunks, N = prod (z_k - z), D = prod p_k (_chunks)."""
-        out = np.full(zz.shape, self.gamma, dtype=complex)
-        for s, ((a, r, c, _, _), *rest) in self._chunks[chunk]:
-            num, den = a - zz, r - zz if c is None else 1.0 - c * zz
-            for a, r, c, _, _ in rest:
-                num *= a - zz
-                den *= r - zz if c is None else 1.0 - c * zz
-            # the chunk's value first: out * num can overflow where it does not
-            num *= s / den
-            out = out * num
-        return out
+    _eval = _by_blocks(lambda self, zz, chunk: _product(self.gamma, self._chunks[chunk], zz))
 
     def derivative(self, z):
         """B'(z) by the product rule, accumulated alongside the product.
@@ -289,7 +297,7 @@ class FiniteBlaschkeProduct:
 
     def _product_rule(self, zz: np.ndarray, chunk: int):
         """(B, B') at the points zz by the product rule, in one pass: with N, D
-        and s as in _eval, a chunk's B' is s M/D**2, and each zero adds the
+        and s as in `_product`, a chunk's B' is s M/D**2, and each zero adds the
         product rule's term to M = N'D - ND', M <- M (z_k - z) p_k + d_k N D,
         kept times C = 1/s so that s/D serves both: B' = (C M) (s/D)**2."""
         val = np.full(zz.shape, self.gamma, dtype=complex)

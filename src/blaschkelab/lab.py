@@ -27,15 +27,17 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .blaschke import _CHUNK, ZERO_MARGIN, FiniteBlaschkeProduct, critical_sets
+from ._util import coerce_points
+from .blaschke import _CHUNK, ZERO_MARGIN, FiniteBlaschkeProduct, _chunk_factors, _product, critical_sets
 from .errors import (
     ContourThroughFiberError,
     BoundaryProximityError,
     ExtractionAmbiguityError,
     InvalidAnnulusError,
+    PoleProximityError,
 )
 from .hyperbolic import collinearity_residual, hull_contains, hyperbolic_convex_hull
-from .moebius import POLE_TOL, DiscAutomorphism, automorphism_eval
+from .moebius import DOMAIN_SLACK, POLE_TOL, DiscAutomorphism
 from .polyroots import _BLOCK
 
 GOLDEN_FRAC = 0.6180339887498949
@@ -137,8 +139,8 @@ def renormalized_conjugate(B: FiniteBlaschkeProduct, a, gamma) -> FiniteBlaschke
 
     Fixes the origin (0 is always a zero) and preserves the order.  For a
     extremely close to the circle the remaining zeros approach the circle
-    quadratically fast and stop being representable; use nested evaluation
-    (as convergence_experiment does) in that regime.
+    quadratically fast and stop being representable; convergence_experiment
+    evaluates the conjugates without building a product (`_conjugates`).
     """
     inner = DiscAutomorphism(a, gamma)
     c = B.eval(complex(a) * inner.gamma)
@@ -174,13 +176,48 @@ def rotation_constant(B: FiniteBlaschkeProduct, gamma0) -> complex:
     return d / abs(d)
 
 
-def _nested_conjugate_values(B, a, gamma, pts, renormalize=True):
-    """Values of T_{B(a gamma), .} o B o T_{a, gamma} on pts by composition."""
-    inner = DiscAutomorphism(a, gamma)
-    c = B.eval(complex(a) * inner.gamma)
-    outer_gamma = np.conj(inner.gamma) if renormalize else 1.0 + 0j
-    outer = DiscAutomorphism(c, outer_gamma)
-    return automorphism_eval(outer, B.eval(automorphism_eval(inner, pts)))
+def _conjugates(B: FiniteBlaschkeProduct, terms, pts, renormalize=True):
+    """For each (a, gamma) of terms, T_{c, g} o B o T_{a, gamma} on pts, c = B(a gamma), g = conj(gamma)
+    (1 without renormalization), as one product.  B o T_{a, gamma} = lam P, P = prod_j (w_j - z)/(1 -
+    conj(w_j) z), w_j = T^{-1}(z_j) = (gamma a - z_j)/d_j, d_j = gamma - conj(a) z_j, and lam = gamma_B
+    prod_j -d_j/(gamma conj(d_j)) (Garcia, Mashreghi & Ross 2018, ch. 3).  So c = lam p, p = prod_j w_j,
+    and with mu = g lam the value is (p - P)/(conj(mu) - conj(mu p) P), in place on P's array: mu stays
+    out of p - P, whose rounding the outer map magnifies.  Raises as the composition did: ValueError
+    beyond the closed disc or for a, c within 1e-15 of the circle, PoleProximityError at a pole."""
+    zz = coerce_points(pts)[0]
+    m = float(np.max(np.abs(zz), initial=0.0))
+    if m > 1.0 + DOMAIN_SLACK:
+        raise ValueError("conjugate evaluation point lies outside the closed disc")
+    for a, gamma in terms:
+        inner = DiscAutomorphism(a, gamma)
+        a, gamma, lam, w = inner.a, inner.gamma, B.gamma, []
+        for z in B.zeros:
+            d = gamma - a.conjugate() * z
+            w.append((gamma * a - z) / d)
+            lam *= -d / (gamma * d.conjugate())
+        p = math.prod(w)
+        outer = DiscAutomorphism(lam * p, gamma.conjugate() if renormalize else 1.0)
+        # the poles of T and P: |1 - conj(b) z| >= 1 - |b| m, so no check fires from 2 POLE_TOL up
+        for b in (a, *w):
+            if 1.0 - abs(b) * m < 2.0 * POLE_TOL and np.any(np.abs(1.0 - b.conjugate() * zz) < POLE_TOL):
+                raise PoleProximityError(f"evaluation point too close to the pole 1/conj({b})")
+        P = _product(1.0, _chunk_factors(w, (_CHUNK,))[_CHUNK], zz)
+        # With m < 1 and every |w_j| < 1, |P| <= 1, and P rounds to relative u (sum_j (20 + 10/q_j)
+        # + 28 chunks) <= eps, q_j = 1 - |w_j| m, as `_noise` models `_eval`.  Then |B o T| = |P| >
+        # 1 + DOMAIN_SLACK cannot hold if eps <= DOMAIN_SLACK, nor |1 - conj(c) B o T| =
+        # |1 - conj(p) P| < POLE_TOL if 1 - |p| (1 + eps) >= 2 POLE_TOL.
+        big = max(map(abs, w))
+        eps = 2.0 ** -53 * len(w) * (48.0 + 10.0 / (1.0 - big * m)) if max(m, big) < 1.0 else math.inf
+        if not eps <= DOMAIN_SLACK and np.any(np.abs(P) > 1.0 + DOMAIN_SLACK):
+            raise ValueError("B o T lies outside the closed disc")
+        mu = outer.gamma * lam
+        den = (mu * p).conjugate() * P
+        np.subtract(mu.conjugate(), den, out=den)
+        if not 1.0 - abs(p) * (1.0 + eps) >= 2.0 * POLE_TOL and np.any(np.abs(den) < POLE_TOL):
+            raise PoleProximityError("evaluation point too close to the pole 1/conj(B(a gamma))")
+        np.subtract(p, P, out=P)
+        P /= den
+        yield P
 
 
 def convergence_experiment(
@@ -190,20 +227,20 @@ def convergence_experiment(
 ) -> list:
     """Sup-norm drift of the renormalized conjugates toward the limiting rotation.
 
-    For each term (a_k, gamma_k) of seq the conjugate is evaluated by
-    composition on a polar grid (24 radii x 96 angles, outer radius r)
-    and compared with z -> rot * z where rot = B'(gamma0)/|B'(gamma0)| at
-    gamma0 = seq.gamma0.
+    For each term (a_k, gamma_k) of seq the conjugate is evaluated on a
+    polar grid (24 radii x 96 angles, outer radius r) as one product, B o
+    T_{a_k, gamma_k} from its closed-form zeros with the outer automorphism
+    folded in (`_conjugates`), and compared with z -> rot * z where
+    rot = B'(gamma0)/|B'(gamma0)| at gamma0 = seq.gamma0.
     """
     if not 0.0 < r <= 0.95:
         raise ValueError("compact radius r must lie in (0, 0.95]")
     rot = rotation_constant(B, seq.gamma0)
     pts = _polar_grid(r, 24)
-    records = []
-    for k, (a, g) in enumerate(seq.terms(), start=1):
-        vals = _nested_conjugate_values(B, a, g, pts, renormalize=True)
-        dev = float(np.max(np.abs(vals - rot * pts)))
-        records.append(ConvergenceRecord(k, a, g, dev, rot))
+    rz, terms, records = rot * pts, seq.terms(), []
+    for k, ((a, g), vals) in enumerate(zip(terms, _conjugates(B, terms, pts)), start=1):
+        vals -= rz
+        records.append(ConvergenceRecord(k, a, g, float(np.max(np.abs(vals))), rot))
     return records
 
 
@@ -230,8 +267,7 @@ def counterexample_run(count: int) -> CounterexampleResult:
     small, wide = _polar_grid(0.5, 16), _polar_grid(0.75, 16)
 
     def values(k, pts, renormalize=False):
-        a, g = terms[k - 1]
-        return _nested_conjugate_values(B, a, g, pts, renormalize)
+        return next(_conjugates(B, terms[k - 1:k], pts, renormalize))
 
     k_even, k_odd = (count, count - 1) if count % 2 == 0 else (count - 1, count)
     return CounterexampleResult(
@@ -484,8 +520,9 @@ def random_product(rng: np.random.Generator, order: int, zero_radius: float = 0.
         raise ValueError("zero radius must lie in (0, 1)")
     zeros = []
     while len(zeros) < order:
-        x, y = rng.uniform(-zero_radius, zero_radius, size=2)
-        if x * x + y * y <= zero_radius * zero_radius:
-            zeros.append(complex(x, y))
+        # as many pairs as zeros are missing: never past the pair that a pair-by-pair draw ends on
+        xy = rng.uniform(-zero_radius, zero_radius, size=(order - len(zeros), 2))
+        x, y = xy.T
+        zeros += xy.view(complex)[x * x + y * y <= zero_radius * zero_radius, 0].tolist()
     gamma = np.exp(2j * np.pi * rng.uniform())
     return FiniteBlaschkeProduct(gamma, tuple(zeros))

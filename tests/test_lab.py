@@ -9,6 +9,7 @@ from blaschkelab import (
     FiniteBlaschkeProduct,
     InvalidAnnulusError,
     NonConvergenceError,
+    PoleProximityError,
     SequenceSpec,
     convergence_experiment,
     counterexample_run,
@@ -148,8 +149,6 @@ class TestCounterexample:
         # for B = z^2 the un-renormalized conjugates have closed forms:
         # even (a = r):  z (2r - (1+r^2) z) / ((1+r^2) - 2 r z)
         # odd  (a = -r): -z (2r + (1+r^2) z) / ((1+r^2) + 2 r z)
-        from blaschkelab.lab import _nested_conjugate_values
-
         B = FiniteBlaschkeProduct.monomial(2)
         rate = 0.35
         pts = np.array([0.3 + 0.1j, -0.25j, 0.45])
@@ -157,7 +156,7 @@ class TestCounterexample:
             r = 1 - rate ** k
             sign = (-1) ** k
             a = r * sign
-            vals = _nested_conjugate_values(B, a, complex(sign), pts, renormalize=False)
+            vals = next(lab._conjugates(B, [(a, complex(sign))], pts, renormalize=False))
             if k % 2 == 0:
                 want = pts * (2 * r - (1 + r * r) * pts) / ((1 + r * r) - 2 * r * pts)
             else:
@@ -172,9 +171,97 @@ class TestCounterexample:
         # up to term 31 the outer automorphism's denominator stays above
         # moebius.POLE_TOL on |z| <= 0.75; term 32 is refused before any evaluation
         assert counterexample_run(31).unrenormalized_oscillation > 1.0
-        monkeypatch.setattr(lab, "_nested_conjugate_values", None)
+        monkeypatch.setattr(lab, "_conjugates", None)
         with pytest.raises(ValueError, match="at most 31"):
             counterexample_run(32)
+
+
+class TestConjugates:
+    """lab._conjugates evaluates T_{c, g} o B o T_{a, gamma} as one product."""
+
+    @staticmethod
+    def composition(B, a, gamma, pts, renormalize):
+        """f = T_{c, g} o B o T_{a, gamma} on pts to 40 digits, and at each point the scale
+        (1 + kappa) sum_j (1 + 1/|1 - conj(w_j) z|) of its rounding: kappa = (1 - |f|^2)/(1 - |B o T|^2)
+        is the factor by which the outer map magnifies an error in B o T, and the factor of the
+        zero w_j = T^{-1}(z_j) of B o T rounds to relative u/|1 - conj(w_j) z|, up to a constant."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a, gamma = mpmath.mpc(a), mpmath.mpc(gamma)
+            gamma /= abs(gamma)
+            zeros = [mpmath.mpc(z) for z in B.zeros]
+
+            def T(z):
+                return gamma * (a - z) / (1 - mpmath.conj(a) * z)
+
+            def T_inverse(z):
+                return mpmath.conj(gamma) * (gamma * a - z) / (1 - mpmath.conj(gamma * a) * z)
+
+            def product(z):
+                v = mpmath.mpc(B.gamma)
+                for z_k in zeros:
+                    v *= (z_k - z) / (1 - mpmath.conj(z_k) * z)
+                return v
+
+            w = [T_inverse(z_k) for z_k in zeros]
+            c, g = product(a * gamma), mpmath.conj(gamma) if renormalize else 1
+            f, scale = [], []
+            for z in map(mpmath.mpc, pts):
+                C = product(T(z))
+                f.append(g * (c - C) / (1 - mpmath.conj(c) * C))
+                kappa = (1 - abs(f[-1]) ** 2) / (1 - abs(C) ** 2)
+                scale.append((1 + kappa) * sum(1 + 1 / abs(1 - mpmath.conj(w_j) * z) for w_j in w))
+            return np.array([complex(v) for v in f]), np.array([float(x) for x in scale])
+
+    def test_matches_a_40_digit_composition(self):
+        # one product of each order 1-16 with zeros up to 0.9, every mode, renormalized or not,
+        # terms 1-28 at rate 0.35, on 24 points of the polar grid.  The error is at most C u
+        # scale (`composition`) with C = 4 declared; the largest seen on 13 samples of this kind
+        # was 2.0, and the composition reached 18 on 7 of them.  For late terms kappa tends to
+        # |1 - conj(a_k) z|^2/(|B'(gamma0)| (1 - |a_k|^2)): in units of u/(1 - |a_k|) the error
+        # grows as |B'(gamma0)| falls (40 on this sample, where the composition's is 26).
+        u, C = 2.0 ** -53, 4.0
+        rng = np.random.default_rng(28)
+        pts = lab._polar_grid(0.9, 24)[::97]
+        worst = 0.0
+        for order in range(1, 17):
+            B = random_product(rng, order, 0.9)
+            mode, renormalize = ("radial", "spiral", "alternating")[order % 3], order % 2 == 0
+            spec = SequenceSpec(np.exp(2j * np.pi * rng.uniform()), mode, 0.35, 28)
+            terms = [spec.terms()[k - 1] for k in (1, 7, 14, 21, 28)]
+            for (a, g), vals in zip(terms, lab._conjugates(B, terms, pts, renormalize)):
+                exact, scale = self.composition(B, a, g, pts, renormalize)
+                worst = max(worst, float(np.max(np.abs(vals - exact) / (u * scale))))
+        assert 0.0 < worst <= C
+
+    def test_raises_as_the_composition_did(self):
+        # the first term that raises, and what: term 32 comes within POLE_TOL of the outer
+        # map's pole, at rate 0.1 term 15's a is within 1e-15 of the circle, and on |z| <= 0.5
+        # the order-4 product's c = B(a_33 gamma_33) is too
+        square = FiniteBlaschkeProduct.monomial(2), 1.0
+        quartic = FiniteBlaschkeProduct(np.exp(0.3j), (0.5, -0.3 + 0.4j, 0.2j, -0.6 - 0.1j)), np.exp(0.7j)
+        cases = [(square, 0.35, 0.9, 32, PoleProximityError), (square, 0.1, 0.9, 15, ValueError),
+                 (quartic, 0.35, 0.9, 32, PoleProximityError), (quartic, 0.35, 0.5, 33, ValueError),
+                 (quartic, 0.1, 0.9, 15, ValueError)]
+        for (B, g0), rate, r, first, error in cases:
+            for mode in ("radial", "spiral", "alternating"):
+                for count in range(28, 41) if rate == 0.35 else range(13, 17):
+                    spec = SequenceSpec(g0, mode, rate, count)
+                    if count < first:
+                        assert len(convergence_experiment(B, spec, r)) == count
+                    else:
+                        with pytest.raises(error):
+                            convergence_experiment(B, spec, r)
+
+    def test_points_beyond_the_closed_disc(self):
+        # points may pass the circle by 1e-9, as long as B o T does too: at 1 + 5e-10, next to
+        # a_3 = 0.957, it is 1 + 4.6e-8
+        B, terms = FiniteBlaschkeProduct.monomial(2), SequenceSpec(1.0, "radial", 0.35, 3).terms()
+        inside = np.array([0.3, -1.0 - 5e-10, 1j * (1.0 + 5e-10)])
+        assert all(np.all(np.isfinite(v)) for v in lab._conjugates(B, terms, inside))
+        for outside in (1.0 + 5e-10, 1.0 + 2e-9, 2j, np.nan):
+            with pytest.raises(ValueError):
+                next(lab._conjugates(B, terms, np.array([0.3, outside])))
 
 
 class TestFatou:
@@ -512,6 +599,22 @@ class TestRandomProduct:
         B1 = random_product(np.random.default_rng(5), 4)
         B2 = random_product(np.random.default_rng(5), 4)
         assert B1 == B2
+
+    def test_draws_the_pairs_of_a_pair_by_pair_loop(self):
+        # the batches draw no pair past the one that completes the zeros
+        def pair_by_pair(rng, order, zero_radius):
+            zeros = []
+            while len(zeros) < order:
+                x, y = rng.uniform(-zero_radius, zero_radius, size=2)
+                if x * x + y * y <= zero_radius * zero_radius:
+                    zeros.append(complex(x, y))
+            return FiniteBlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), tuple(zeros))
+
+        for seed in range(40):
+            batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+            for order, zero_radius in zip(range(1, 21), (0.3, 0.6, 0.9, 0.99) * 5):
+                assert random_product(batched, order, zero_radius) == pair_by_pair(looped, order, zero_radius)
+                assert batched.bit_generator.state == looped.bit_generator.state
 
     def test_zero_radius_respected(self):
         B = random_product(np.random.default_rng(6), 12, 0.35)
