@@ -151,21 +151,9 @@ def cmd_converge(args, out) -> int:
     records = convergence_experiment(B, spec, args.radius)
     out.write("k,a_re,a_im,gamma_re,gamma_im,sup_deviation,rot_re,rot_im\n")
     for r in records:
-        out.write(
-            ",".join(
-                [
-                    str(r.k),
-                    _g17(r.a.real),
-                    _g17(r.a.imag),
-                    _g17(r.gamma.real),
-                    _g17(r.gamma.imag),
-                    _g17(r.sup_deviation),
-                    _g17(r.rotation_constant.real),
-                    _g17(r.rotation_constant.imag),
-                ]
-            )
-            + "\n"
-        )
+        values = (r.a.real, r.a.imag, r.gamma.real, r.gamma.imag, r.sup_deviation, r.rotation_constant.real,
+                  r.rotation_constant.imag)
+        out.write(",".join([str(r.k)] + [_g17(x) for x in values]) + "\n")
     return EXIT_OK
 
 

@@ -23,10 +23,11 @@ DISTINCT_TOL = 1e-10
 
 
 def pseudo_hyperbolic_distance(z1, z2) -> float:
-    """|(z1 - z2) / (1 - conj(z1) z2)|, invariant under disc automorphisms."""
+    """|(z1 - z2) / (1 - conj(z1) z2)| for z1, z2 in the open disc, invariant
+    under disc automorphisms."""
     z1, z2 = complex(z1), complex(z2)
-    if not np.isfinite([z1, z2]).all():
-        raise ValueError("points must be finite")
+    if not (abs(z1) < 1.0 and abs(z2) < 1.0):
+        raise ValueError("points must lie strictly inside the unit disc")
     return abs((z1 - z2) / (1.0 - np.conj(z1) * z2))
 
 

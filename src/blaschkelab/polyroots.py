@@ -14,15 +14,16 @@ argument of B sampled along it.  One iteration solves many root sets side
 by side, a row of roots each: the critical points of many products with the
 same number of distinct zeros, or the fibers of many targets under one
 product.  The coupling between a row's roots, like every (points x zeros)
-pass, runs in blocks of at most _BLOCK entries.  Aberth closes on a double
-root only linearly, so a row's last pair, if it is still in that phase,
-moves once to the roots of its local quadratic factor (`_two_root_step`).
-A root stops once its residual is within the rounding bound of its
-evaluation, and roots that rounding cannot tell apart are merged into one
-multiple root, row by row.  A run that gives up
-raises NonConvergenceError naming the rows still moving by the labels its
-caller passed in.  The module works on plain arrays; `critical_roots` and
-`fiber_roots` are its only entry points.
+pass, runs in blocks (_PASS_BLOCK, _BLOCK); the secular pass and the
+mirrored coupling take one complex division per entry, the fiber starts'
+sampling none.  Aberth closes on a double root only linearly, so a row's
+last pair, if it is still in that phase, moves once to the roots of its
+local quadratic factor (`_two_root_step`).  A root stops once its residual
+is within the rounding bound of its evaluation, and roots that rounding
+cannot tell apart are merged into one multiple root, row by row.  A run
+that gives up raises NonConvergenceError naming the rows still moving by
+the labels its caller passed in.  The module works on plain arrays;
+`critical_roots` and `fiber_roots` are its only entry points.
 """
 
 from __future__ import annotations
@@ -34,12 +35,17 @@ from .errors import NonConvergenceError
 
 _EPS = np.finfo(float).eps
 # Elements per block: the points of an evaluation block in `blaschke`, the
-# (points x zeros) entries of a block of the fiber pass, of the fiber starts'
-# sampling and of a chunk of `critical_sets`, and the (roots x row) entries
-# of the Aberth coupling and rounding links.  A block's complex arrays (128 KB)
-# stay in cache and below numpy's 256 KB threshold for reusing temporaries in
-# place, which can swap a complex multiply's operands and so its last bit: evaluation writes x *= y for x * y.
+# (points x zeros) entries of a block of the fiber pass and of a chunk of
+# `critical_sets`, and the (roots x row) entries of the rounding links.  A
+# block's complex arrays (128 KB) stay in cache and below numpy's 256 KB
+# threshold for reusing temporaries in place, which can swap a complex
+# multiply's operands and so its last bit: evaluation writes x *= y for x * y.
 _BLOCK = 8192
+# Entries per block of the passes that hold four or more complex temporaries
+# at once: the secular pass, the Aberth coupling and the fiber starts'
+# sampling.  Order-128 critical points took 4.3-4.9 ms in blocks of 4,096
+# entries (64 KB a temporary), 4.8-6.5 at 8,192, 5.2-5.3 at 2,048, 6.2-6.4 unblocked.
+_PASS_BLOCK = 4096
 # sweeps after which an Aberth root that has not met its stopping test is a failure
 _MAX_SWEEPS = 200
 
@@ -174,13 +180,12 @@ def _aberth(z, newton, mirrored: bool, names) -> np.ndarray:
     root still moving as noun labels[r], names = (noun, labels).  With
     `mirrored` the roots of f are the iterates together with their
     reflections 1/conj(z): those enter the coupling without being iterated,
-    and an iterate that leaves the disc is replaced by its reflection.
+    and an iterate that leaves the disc is replaced by its reflection.  The
+    coupling (`_pull`) then takes one division per (root x row) entry.
     """
     z = np.array(z, dtype=complex)
     flat, n = z.reshape(-1), z.shape[1]
     live = np.arange(flat.size)
-    # live roots per block of the (roots x row) coupling arrays
-    chunk = max(1, _BLOCK // n)
     # rows whose last pair has been offered the two-root step
     offered, counted = np.zeros(len(z), dtype=bool), live.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -200,16 +205,7 @@ def _aberth(z, newton, mirrored: bool, names) -> np.ndarray:
                     pairs = np.searchsorted(r, np.flatnonzero(fresh)).tolist()
             step, size, noise = newton(zl, rows)
             done = (size <= noise) & np.isfinite(noise)
-            pull = np.empty(live.size, dtype=complex)
-            for i in range(0, live.size, chunk):
-                zb, cb = zl[i:i + chunk, None], cols[i:i + chunk]
-                peers = z[rows] if len(z) == 1 else z[rows[i:i + chunk]]
-                diff = zb - peers
-                diff[np.arange(len(cb)), cb] = np.inf
-                pull[i:i + chunk] = np.sum(1.0 / diff, axis=1)
-                if mirrored:
-                    w = np.conj(peers)
-                    pull[i:i + chunk] += np.sum(w / (w * zb - 1.0), axis=1)
+            pull = _pull(z, zl, rows, cols, mirrored)
             corr = step / (1.0 - step * pull)
             # a root that stops takes its last correction too; a non-finite
             # correction (an iterate on a pole of f) is not taken, so such a
@@ -227,6 +223,29 @@ def _aberth(z, newton, mirrored: bool, names) -> np.ndarray:
     moving = ", ".join(str(names[1][r]) for r in np.unique(live // n))
     raise NonConvergenceError(f"{live.size} of {z.size} roots unresolved after {_MAX_SWEEPS} Aberth sweeps "
                               f"({names[0]} {moving})")
+
+
+def _pull(z, zl, rows, cols, mirrored: bool) -> np.ndarray:
+    """Aberth's coupling sum_{j != i} 1/(z_i - p_j) of the live roots zl at
+    (rows, cols) of the roots z.  With `mirrored` the reflection's term joins
+    each as one fraction, (2wz - 1 - |p|^2)/((z - p)(wz - 1)), w = conj(p),
+    numerator (wz - 1) + w (z - p); a root's own column is w/(wz - 1) alone."""
+    pull, chunk = np.empty(zl.size, dtype=complex), max(1, _PASS_BLOCK // z.shape[1])
+    for i in range(0, zl.size, chunk):
+        zb, own = zl[i:i + chunk, None], (np.arange(len(cols[i:i + chunk])), cols[i:i + chunk])
+        peers = z[rows] if len(z) == 1 else z[rows[i:i + chunk]]
+        diff = zb - peers
+        if mirrored:
+            w = np.conj(peers)
+            diff[own] = 1.0
+            den = w * zb - 1.0
+            num = w * diff + den
+            num[own] = np.conj(zb[:, 0])
+            pull[i:i + chunk] = np.sum(np.divide(num, np.multiply(den, diff, out=den), out=num), axis=1)
+        else:
+            diff[own] = np.inf
+            pull[i:i + chunk] = np.sum(1.0 / diff, axis=1)
+    return pull
 
 
 def _two_root_step(pairs, z, step, pull, corr, done, new) -> None:
@@ -267,23 +286,31 @@ def _secular_zeros(u, m) -> tuple:
 
 def _secular(z, zeros):
     """(S, S', rounding bound of S, sum_k (P_k - R_k)) at the points z, with
-    zeros from `_secular_zeros`.
+    zeros from `_secular_zeros`: one product's, or a row per point.
 
-    S = B'/B = sum_k T_k over the distinct zeros u_k of multiplicity m_k, with
-    T_k = m_k (1-|u_k|^2) / ((1-conj(u_k) z)(z-u_k)) and
-    d/dz log T_k = P_k - R_k, P_k = conj(u_k)/(1-conj(u_k) z), R_k = 1/(z-u_k).
-    The bound is 4 eps times the size of the summands plus the rounding of z
-    itself, |z| sum_k |T_k'|.
+    S = B'/B = sum_k T_k over the distinct zeros u_k of multiplicity m_k,
+    T_k = m_k (1-|u_k|^2) inv_k, inv_k = 1/(q_k d_k), q_k = 1 - conj(u_k) z,
+    d_k = z - u_k: one reciprocal per entry.  d/dz log T_k = P_k - R_k =
+    conj(u_k)/q_k - 1/d_k = (conj(u_k) d_k - q_k) inv_k, whose numerator is
+    at least (1-|u_k|)^2 in modulus.  The bound, 4 eps (sum_k |T_k| + |z|
+    sum_k |T_k'|), covers a few u of rounding per summand and that of z; the
+    error against a 40-digit S stayed within 0.27 of it (README).  Blocks of
+    _PASS_BLOCK entries change no bit: rows are independent.
     """
-    # in place where possible: at order 128 each (points x zeros) array is
-    # a quarter megabyte
+    step = max(1, _PASS_BLOCK // zeros[0].shape[-1])
+    if z.size > step:
+        parts = [_secular(z[i:i + step], [x if x.ndim == 1 else x[i:i + step] for x in zeros])
+                 for i in range(0, z.size, step)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
     u, uc, weight = zeros
+    # four (points x zeros) arrays, reused in place
     q = np.subtract(1.0, uc * z[:, None])
     d = np.subtract(z[:, None], u)
-    t = np.divide(weight, q * d)
-    p = np.divide(uc, q, out=q)
-    r = np.divide(1.0, d, out=d)
-    dt = p - r
+    inv = np.divide(1.0, q * d)
+    t = np.multiply(weight, inv)
+    dt = np.multiply(uc, d, out=d)
+    dt -= q
+    dt *= inv
     logs = dt.sum(axis=1)
     dt *= t
     noise = 4.0 * _EPS * (np.abs(t).sum(axis=1) + np.abs(z) * np.abs(dt).sum(axis=1))
@@ -375,26 +402,29 @@ def _circle_angles(a, gamma, c, k, r) -> np.ndarray:
     continuous along the circle and no unwrapping is needed.  The sampled
     argument need not increase off the unit circle; its running maximum is
     inverted by linear interpolation, which puts each start at the first
-    sample interval where the argument rises through its level.  The
-    sampling runs in blocks of at most _BLOCK (targets x samples x zeros)
-    entries.
+    sample interval where the argument rises through its level.  As
+    1 - a_k/w = (w - a_k) conj(w)/r^2 and 1 - w/a_k = (a_k - w) conj(a_k)/|a_k|^2,
+    w_k has the angle of (w - a_k) conj(1 - conj(a_k) w) times conj(w)/r or
+    -conj(a_k)/|a_k|: no division per entry, in _PASS_BLOCK-entry blocks.
     """
     n = len(a)
     samples = 2 * n + 2
     theta = 2.0 * np.pi * np.arange(samples + 1) / samples
-    inside = np.arange(n) < k
+    inside, angles = np.arange(n) < k, np.angle(a)
     phase = np.empty((len(c), samples + 1))
     # per row: k theta, pi per zero inside and arg a_k per zero outside
-    phase[:, :samples] = k * theta[:samples] + np.where(inside, np.pi, np.angle(a)).sum(axis=1, keepdims=True)
-    w = (r * np.exp(1j * theta[:samples])).reshape(-1)
-    kw = np.repeat(k[:, 0], samples)
-    ac, sums = np.conj(a), np.empty(w.size)
-    step = max(1, _BLOCK // n)
+    phase[:, :samples] = k * theta[:samples] + np.where(inside, np.pi, angles).sum(axis=1, keepdims=True)
+    e = np.exp(1j * theta[:samples])
+    w, kw = (r * e).reshape(-1), np.repeat(k[:, 0], samples)
+    # the unit factors: conj(w)/r per sample, -conj(a_k)/|a_k| per zero
+    inner, outer = np.tile(np.conj(e), len(c)), np.exp(1j * (np.pi - angles))
+    wc, sums = np.conj(w), np.empty(w.size)
+    step = max(1, _PASS_BLOCK // n)
     for i in range(0, w.size, step):
-        x, ins = w[i:i + step, None], np.arange(n) < kw[i:i + step, None]
-        # a_k/w inside, w/a_k outside: both below 1 in modulus, and r > 0
-        ratio = np.where(ins, a, x) / np.where(ins, x, a)
-        sums[i:i + step] = np.angle((1.0 - ratio) * np.conj(1.0 - ac * x)).sum(axis=1)
+        v = np.subtract(w[i:i + step, None], a)
+        v *= np.where(np.arange(n) < kw[i:i + step, None], inner[i:i + step, None], outer)
+        v *= np.subtract(1.0, a * wc[i:i + step, None])
+        sums[i:i + step] = np.angle(v).sum(axis=1)
     phase[:, :samples] += sums.reshape(len(c), samples)
     phase[:, samples] = phase[:, 0] + 2.0 * np.pi * k[:, 0]
     phase = np.maximum.accumulate(phase, axis=1)

@@ -903,6 +903,131 @@ class TestProductTerms:
         assert np.isfinite(der[1])
 
 
+def disc_array(rng, n, radius):
+    return radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+class TestAberthKernels:
+    """The root finder's secular pass, mirrored coupling and fiber-start
+    sampling against the forms they replace, written out here."""
+
+    @staticmethod
+    def one_pass(z, u, uc, weight):
+        """The one-reciprocal secular pass over all points at once: T_k = w_k inv,
+        P_k - R_k = (conj(u_k) d - q) inv, inv = 1/(q d)."""
+        q = np.subtract(1.0, uc * z[:, None])
+        d = np.subtract(z[:, None], u)
+        inv = np.divide(1.0, np.multiply(q, d))
+        t = np.multiply(weight, inv)
+        dt = np.multiply(np.subtract(np.multiply(uc, d), q), inv)
+        logs = dt.sum(axis=1)
+        dt = np.multiply(dt, t)
+        noise = 4.0 * np.finfo(float).eps * (np.abs(t).sum(axis=1) + np.abs(z) * np.abs(dt).sum(axis=1))
+        return t.sum(axis=1), dt.sum(axis=1), noise, logs
+
+    @staticmethod
+    def three_divisions(z, u, uc, weight):
+        """(T_k, P_k, R_k) by three divisions per entry."""
+        q, d = 1.0 - uc * z[:, None], z[:, None] - u
+        return weight / (q * d), uc / q, 1.0 / d
+
+    def test_blocks_are_one_pass_bit_for_bit(self):
+        rng = np.random.default_rng(128)
+        u = disc_array(rng, 128, 0.9)
+        zeros = polyroots._secular_zeros(u, np.ones(128))
+        z = disc_array(rng, 127, 0.95)
+        # 127 x 128 entries: four blocks of 32 points
+        assert z.size * u.size > 3 * polyroots._PASS_BLOCK
+        for got, want in zip(polyroots._secular(z, zeros), self.one_pass(z, *zeros)):
+            assert same_bits(got, want)
+        # a batch of rows, one product per point, as `critical_sets` runs it
+        rows = np.repeat(disc_array(rng, 5 * 64, 0.9).reshape(5, 64), 63, axis=0)
+        zeros = polyroots._secular_zeros(rows, np.ones(rows.shape))
+        z = disc_array(rng, len(rows), 0.95)
+        for got, want in zip(polyroots._secular(z, zeros), self.one_pass(z, *zeros)):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("order", [2, 3, 8, 32, 128])
+    def test_agrees_with_three_divisions(self, order):
+        rng = np.random.default_rng([order, 26])
+        eps = np.finfo(float).eps
+        for radius in (0.5, 0.9, 0.99):
+            u = disc_array(rng, order, radius)
+            zeros = polyroots._secular_zeros(u, np.ones(order))
+            # anywhere in the disc, and 1e-6 off each zero
+            z = np.concatenate([disc_array(rng, 200, 0.999), u + 1e-6 * np.exp(2j * np.pi * rng.uniform(size=order))])
+            s, ds, noise, logs = polyroots._secular(z, zeros)
+            t, p, r = self.three_divisions(z, *zeros)
+            # S within the stated bound; S' and sum (P_k - R_k) within 8 eps of the size
+            # of their terms, sum_k |T_k| (|P_k| + |R_k|) and sum_k (|P_k| + |R_k|)
+            assert np.all(np.abs(s - t.sum(axis=1)) <= noise)
+            size = np.abs(p) + np.abs(r)
+            assert np.all(np.abs(ds - ((p - r) * t).sum(axis=1)) <= 8 * eps * (np.abs(t) * size).sum(axis=1))
+            assert np.all(np.abs(logs - (p - r).sum(axis=1)) <= 8 * eps * size.sum(axis=1))
+
+    @staticmethod
+    def two_fractions(z):
+        """Each root's sum_{j != i} 1/(z_i - z_j) + sum_j w_j/(w_j z_i - 1),
+        w_j = conj(z_j), over its row of z, and the size of those terms."""
+        diff, w = z[:, :, None] - z[:, None, :], np.conj(z)[:, None, :]
+        near = 1.0 / np.where(diff == 0, np.inf, diff)
+        far = w / (w * z[:, :, None] - 1.0)
+        return (near + far).sum(axis=2).reshape(-1), (np.abs(near) + np.abs(far)).sum(axis=2).reshape(-1)
+
+    @pytest.mark.parametrize("rows,n", [(1, 1), (3, 1), (1, 3), (1, 40), (1, 127), (8, 15), (2, 63)])
+    def test_mirrored_pull_is_one_fraction(self, rows, n):
+        rng = np.random.default_rng([rows, n])
+        z = disc_array(rng, rows * n, 0.99).reshape(rows, n)
+        live = np.arange(z.size)
+        at = (0, live) if rows == 1 else np.divmod(live, n)
+        got = polyroots._pull(z, z.reshape(-1).copy(), *at, True)
+        want, size = self.two_fractions(z)
+        assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * size)
+        if n == 1:
+            # a root alone in its row: its own column is its reflection term, exactly
+            w = np.conj(z[:, 0])
+            assert same_bits(got, w / (w * z[:, 0] - 1.0))
+
+    @staticmethod
+    def ratio_angles(a, gamma, c, k, r):
+        """`polyroots._circle_angles` with the sampled argument taken as
+        arg((1 - a_k/w) conj(1 - conj(a_k) w)) inside, with a_k/w outside."""
+        n = len(a)
+        samples = 2 * n + 2
+        theta = 2.0 * np.pi * np.arange(samples + 1) / samples
+        inside = np.arange(n) < k
+        phase = np.empty((len(c), samples + 1))
+        phase[:, :samples] = k * theta[:samples] + np.where(inside, np.pi, np.angle(a)).sum(axis=1, keepdims=True)
+        w = r[:, :, None] * np.exp(1j * theta[:samples])[None, :, None]
+        ins = inside[:, None, :]
+        ratio = np.where(ins, a, w) / np.where(ins, w, a)
+        phase[:, :samples] += np.angle((1.0 - ratio) * np.conj(1.0 - np.conj(a) * w)).sum(axis=2)
+        phase[:, samples] = phase[:, 0] + 2.0 * np.pi * k[:, 0]
+        phase = np.maximum.accumulate(phase, axis=1)
+        first = phase[:, :1] + np.mod(np.angle(c / gamma)[:, None] - phase[:, :1], 2.0 * np.pi)
+        levels = first + 2.0 * np.pi * np.arange(n)
+        return np.array([np.interp(lv, ph, theta) for lv, ph in zip(levels, phase)])
+
+    @pytest.mark.parametrize("order", [3, 12, 40, 128])
+    def test_circle_angles_match_the_ratio_form(self, order, monkeypatch):
+        rng = np.random.default_rng([order, 27])
+        a, gamma = disc_array(rng, order, 0.9), np.exp(2j * np.pi * rng.uniform())
+        c = np.array([0.05, 0.3, 0.6, 0.95]) * np.exp(2j * np.pi * rng.uniform(size=4))
+        seen = []
+
+        def spy(*args):
+            got = angles(*args)
+            seen.append(np.abs(got - self.ratio_angles(*args)).max())
+            return got
+
+        angles = polyroots._circle_angles
+        monkeypatch.setattr(polyroots, "_circle_angles", spy)
+        starts = polyroots._fiber_starts(a, gamma, c)
+        assert seen and max(seen) <= 1e-12
+        gaps = np.abs(starts[:, :, None] - starts[:, None, :]) + np.eye(order)
+        assert np.all(gaps > 0.0)
+
+
 class TestFiberSolve:
     def test_square_fiber(self):
         B = FiniteBlaschkeProduct.monomial(2)

@@ -18,12 +18,12 @@ from blaschkelab.cli import (
 
 GOLDEN_SEED42_ORDER5 = """\
 re,im,multiplicity,region,in_hull
--0.31741379710750872,0.018479258553050364,1,interior,true
--0.10247373311692663,0.55858377077795252,1,interior,true
+-0.31741379710750872,0.018479258553050375,1,interior,true
+-0.10247373311692667,0.55858377077795252,1,interior,true
 0.46741653509854642,0.13030357633292239,1,interior,true
 0.5345453131860769,0.40619113626712716,1,interior,true
--3.1398196918920318,0.18279463723745998,1,exterior,n/a
--0.31773156155865434,1.7319530415476212,1,exterior,n/a
+-3.1398196918920318,0.18279463723746009,1,exterior,n/a
+-0.31773156155865445,1.7319530415476212,1,exterior,n/a
 1.1859547733232247,0.90118518496839606,1,exterior,n/a
 1.985144039361959,0.55340654093529373,1,exterior,n/a
 """
@@ -97,12 +97,42 @@ class TestCriticalPoints:
         assert rows[0]["multiplicity"] == 1
         assert rows[0]["in_hull"] == "n/a"
 
+    @staticmethod
+    def mp_critical_points(B, mpmath):
+        """The 2 order - 2 zeros of B' to working precision: the roots of N' D - N D',
+        N = prod (a_k - z) and D = prod (1 - conj(a_k) z), coefficients from
+        the lowest degree up; call under mpmath.workdps(50)."""
+
+        def times(p, q):
+            out = [mpmath.mpc(0)] * (len(p) + len(q) - 1)
+            for i, x in enumerate(p):
+                for j, y in enumerate(q):
+                    out[i + j] += x * y
+            return out
+
+        N, D = [mpmath.mpc(1)], [mpmath.mpc(1)]
+        for a in B.zeros:
+            a = mpmath.mpc(a.real, a.imag)
+            N, D = times(N, [a, -1]), times(D, [1, -mpmath.conj(a)])
+        dN, dD = ([i * p[i] for i in range(1, len(p))] for p in (N, D))
+        # the degree-(2 order - 1) terms cancel
+        P = [x - y for x, y in zip(times(dN, D), times(N, dD))][:-1]
+        return mpmath.polyroots(P[::-1], maxsteps=200, extraprec=200)
+
     def test_golden_seed42_order5(self, tmp_path):
         rng = np.random.default_rng(np.random.PCG64(42))
         B = random_product(rng, 5, 0.9)
         spec = write_spec(tmp_path, B)
         rc, out = run(["critical-points", spec, "--hull"])
         assert rc == EXIT_OK
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            roots = self.mp_critical_points(B, mpmath)
+            assert len(roots) == 8
+            for line in out.splitlines()[1:]:
+                p = complex(*map(float, line.split(",")[:2]))
+                error = min(abs(mpmath.mpc(p.real, p.imag) - r) for r in roots)
+                assert error <= 1e-15 * max(1.0, abs(p))
         assert out == GOLDEN_SEED42_ORDER5
         interior = [line for line in out.splitlines() if ",interior," in line]
         assert len(interior) == 4

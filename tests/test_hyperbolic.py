@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,14 @@ class TestPseudoHyperbolicDistance:
 
     def test_from_origin(self):
         assert pseudo_hyperbolic_distance(0.0, 0.5) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("z1,z2", [(1.0, 0.2), (0.2, 1.0), (1.0, 1.0), (0.6 + 0.8j, 0.0), (0.3, 2.0)])
+    def test_points_off_the_open_disc_raise(self, z1, z2):
+        # (1, 1) made 0/0: nan and a RuntimeWarning, which this turns into an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="inside the unit disc"):
+                pseudo_hyperbolic_distance(z1, z2)
 
     @settings(max_examples=40, deadline=None)
     @given(disc_points, disc_points, disc_points,

@@ -136,6 +136,32 @@ class TestConvergenceExperiment:
         with pytest.raises(ValueError):
             convergence_experiment(B, SequenceSpec(1.0, "radial", 0.5, 4), 0.97)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_circle_sup_is_the_grid_sup(self, seed):
+        # the converge suite's draws: the sup on |z| = r is never above the sup over the
+        # 24 x 96 polar grid, whose outer ring it is, and short of it at most by the
+        # suite's noise floor 16 eps/(1 - |a_k|)
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        cases = [(FiniteBlaschkeProduct.monomial(2), 1.0 + 0j, 0.45)]
+        for _ in range(10):
+            order = int(rng.integers(2, 6))
+            cases.append((random_product(rng, order, 0.6), np.exp(2j * np.pi * rng.uniform()), 0.33))
+        grid = lab._polar_grid(0.9, 24)
+        for B, g0, rate in cases:
+            for mode in ("radial", "spiral"):
+                spec = SequenceSpec(g0, mode, rate, 14)
+                recs = convergence_experiment(B, spec, 0.9)
+                rz = recs[0].rotation_constant * grid
+                for rec, vals in zip(recs, lab._conjugates(B, spec.terms(), grid)):
+                    sup = float(np.max(np.abs(vals - rz)))
+                    floor = 16.0 * np.finfo(float).eps / (1.0 - abs(rec.a))
+                    assert sup - floor <= rec.sup_deviation <= sup
+
+    @pytest.mark.parametrize("gamma0", [0, 0j, math.nan, math.inf, complex(math.inf, 1.0)])
+    def test_rotation_constant_refuses_a_zero_or_non_finite_gamma0(self, gamma0):
+        with pytest.raises(ValueError, match="nonzero finite"):
+            rotation_constant(FiniteBlaschkeProduct.monomial(2), gamma0)
+
 
 class TestCounterexample:
     def test_unrenormalized_splits_and_renormalized_converges(self):
