@@ -2,7 +2,7 @@
 
 from types import ModuleType as _ModuleType
 
-from .blaschke import CriticalSet, FiniteBlaschkeProduct, critical_sets
+from .blaschke import CriticalSet, FiniteBlaschkeProduct, critical_sets, fiber_sets
 from .errors import (
     BoundaryProximityError,
     CircleStraddleError,

@@ -12,7 +12,9 @@ block size, _BLOCK, that evaluation here shares with it.  This module
 splits off the symbolic critical points of repeated zeros and checks what
 the root finder returns.  `critical_sets` finds the critical points of many
 products in shared Aberth runs, and `critical_points` is its one-product
-case.  Instances are immutable and all operations are pure.
+case; `fiber_sets` does the same for fibers, one run per order, and
+`fiber_solve` is its one-product case.  Instances are immutable and all
+operations are pure.
 
 Evaluation is defined on the whole plane minus the poles 1/conj(z_k); the
 self-map guarantees (|B| < 1 inside, |B| = 1 on the circle) hold on the
@@ -321,39 +323,14 @@ class FiniteBlaschkeProduct:
     _derivative = _by_blocks(lambda self, zz, chunk: self._product_rule(zz, chunk)[1])
 
     def fiber_solve(self, c) -> list:
-        """All order-many solutions of B(w) = c inside the disc (|c| < 1).
+        """All order-many solutions of B(w) = c inside the disc (|c| < 1):
+        the one entry of `fiber_sets([self], [c])`.
 
         A scalar c gives one list sorted by (re, im), an array one such list
-        per target (flattened).  Solutions are the roots of Q (B - c),
-        Q(w) = prod_k (1 - conj(z_k) w), found by Aberth iteration on B - c
-        with B, B' and Q'/Q from one blocked pass over (roots x zeros), all
-        targets in one run; for c = 0 they are the zeros.  Multiplicities
-        are expanded.
+        per target (flattened).  For c = 0 they are the zeros, and
+        multiplicities are expanded.
         """
-        cc = coerce_points(c)[0]
-        targets = cc.ravel().tolist()
-        if not all(abs(x) < 1.0 for x in targets):
-            raise ValueError("fiber value must lie strictly inside the disc")
-        fibers = [list(self.zeros)] * len(targets)
-        todo = [t for t, x in enumerate(targets) if x != 0]
-        if todo:
-            cs = cc.ravel()[todo]
-            found = fiber_roots(np.array(self.zeros), self.gamma, cs, self._distinct_zeros, FIBER_EVAL_TOL,
-                                ("targets", todo))
-            escaped = ~(np.abs(found) < 1.0)
-            if escaped.any():
-                t, k = np.argwhere(escaped)[0]
-                raise NonConvergenceError(f"fiber point {complex(found[t, k])} of {targets[todo[t]]} "
-                                          "escaped the open disc")
-            defect = np.abs(self.eval(found) - cs[:, None])
-            bad = defect > FIBER_EVAL_TOL * (1.0 + np.abs(cs[:, None]))
-            if bad.any():
-                t, k = np.unravel_index(np.argmax(np.where(bad, defect, -1.0)), bad.shape)
-                raise NonConvergenceError(f"fiber point {complex(found[t, k])} of {cs[t]} fails re-evaluation")
-            for t, sols in zip(todo, found.tolist()):
-                fibers[t] = sols
-        out = [sorted(f, key=lambda w: (w.real, w.imag)) for f in fibers]
-        return out[0] if cc.ndim == 0 else out
+        return fiber_sets([self], [c])[0]
 
     def conjugate_by(
         self, inner: DiscAutomorphism, outer: DiscAutomorphism
@@ -417,6 +394,74 @@ def critical_sets(products) -> list:
             for i, pts in zip(chunk, critical_roots(u, m, ("products", chunk))):
                 found[i] = pts
     return [_critical_set(B, u, m, pts) for B, (u, m), pts in zip(products, distinct, found)]
+
+
+def fiber_sets(products, targets) -> list:
+    """For each product B and its targets c, in order, what B.fiber_solve(c)
+    returns: all order-many solutions of B(w) = c inside the disc (|c| < 1),
+    one list sorted by (re, im) for a scalar c and one such list per target
+    (flattened) for an array.
+
+    Solutions are the roots of Q (B - c), Q(w) = prod_k (1 - conj(z_k) w),
+    found by Aberth iteration on B - c with B, B' and Q'/Q from one blocked
+    pass over (roots x zeros); for c = 0 they are the zeros.  Multiplicities
+    are expanded.  The nonzero targets of all products of one order share
+    one Aberth run, a row each: under the product's zeros where the order
+    has one product, with a row of zeros per target otherwise.  Every fiber
+    is solved before any is checked.  Raises NonConvergenceError when a root
+    is still moving after the sweep cap, naming the targets (with their
+    products, if there are several), and when a fiber point leaves the open
+    disc or fails re-evaluation.
+    """
+    products, points = list(products), [coerce_points(c)[0] for c in targets]
+    if len(points) != len(products):
+        raise ValueError("need one target, or one array of targets, per product")
+    values = [cc.ravel().tolist() for cc in points]
+    if not all(abs(x) < 1.0 for xs in values for x in xs):
+        raise ValueError("fiber value must lie strictly inside the disc")
+    todo = [[t for t, x in enumerate(xs) if x != 0] for xs in values]
+    by_order: dict = {}
+    for i, B in enumerate(products):
+        if todo[i]:
+            by_order.setdefault(B.order, []).append(i)
+    found: dict = {}
+    for members in by_order.values():
+        rows = [(i, t) for i in members for t in todo[i]]
+        c = np.array([values[i][t] for i, t in rows])
+        names = ("targets", [t if len(products) == 1 else f"{t} of product {i}" for i, t in rows])
+        if len(members) == 1:
+            B = products[members[0]]
+            w = fiber_roots(np.array(B.zeros), B.gamma, c, B._distinct_zeros, FIBER_EVAL_TOL, names)
+        else:
+            owners = [products[i] for i, _ in rows]
+            w = fiber_roots(np.array([B.zeros for B in owners]), np.array([B.gamma for B in owners]), c,
+                            [B._distinct_zeros for B in owners], FIBER_EVAL_TOL, names)
+        # a product's rows are consecutive, in the order of its targets
+        end = 0
+        for i in members:
+            found[i], end = w[end:end + len(todo[i])], end + len(todo[i])
+    out = []
+    for i, (B, cc) in enumerate(zip(products, points)):
+        fibers, cs = found.get(i), cc.ravel()
+        if fibers is None or len(fibers) < cs.size:
+            # the fiber of 0 is the zero multiset, which passes the checks below
+            fibers, solved = np.repeat(np.array([B.zeros]), cs.size, axis=0), fibers
+            if todo[i]:
+                fibers[todo[i]] = solved
+        if todo[i]:
+            escaped = ~(np.abs(fibers) < 1.0)
+            if escaped.any():
+                t, k = np.argwhere(escaped)[0]
+                raise NonConvergenceError(f"fiber point {complex(fibers[t, k])} of {cs[t]} escaped the open disc")
+            defect = np.abs(B.eval(fibers) - cs[:, None])
+            bad = defect > FIBER_EVAL_TOL * (1.0 + np.abs(cs[:, None]))
+            if bad.any():
+                t, k = np.unravel_index(np.argmax(np.where(bad, defect, -1.0)), bad.shape)
+                raise NonConvergenceError(f"fiber point {complex(fibers[t, k])} of {cs[t]} fails re-evaluation")
+        # a stable sort of complex numbers orders them by (re, im), as sorted() by that key
+        fibers = np.sort(fibers, axis=1, kind="stable").tolist()
+        out.append(fibers[0] if cc.ndim == 0 else fibers)
+    return out
 
 
 def _critical_set(B: FiniteBlaschkeProduct, u, m, found) -> CriticalSet:

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .blaschke import ZERO_MARGIN, FiniteBlaschkeProduct, critical_sets
+from .blaschke import ZERO_MARGIN, FiniteBlaschkeProduct, critical_sets, fiber_sets
 from .errors import (
     CircleStraddleError,
     ContourThroughFiberError,
@@ -24,6 +24,8 @@ from .errors import (
 from .hyperbolic import geodesic_point, hull_contains, hyperbolic_convex_hull
 from .lab import (
     COUNTEREXAMPLE_RATE,
+    _separation_scan,
+    _separation_targets,
     SequenceSpec,
     convergence_experiment,
     counterexample_run,
@@ -32,7 +34,6 @@ from .lab import (
     fatou_quotient,
     random_product,
     rotation_constant,
-    separation_estimate,
     valence,
 )
 
@@ -328,15 +329,17 @@ def _suite_counterexample(trials: int, rng):
 
 
 def _suite_valence(trials: int, rng):
+    # all products and targets are drawn, their fibers solved in one batch,
+    # then checked in order
+    draws = []
     for _ in range(trials):
-        order = int(rng.integers(1, 7))
-        B = random_product(rng, order, 0.85)
-        w = 0.6 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        fiber = B.fiber_solve(w)
+        B = random_product(rng, int(rng.integers(1, 7)), 0.85)
+        draws.append((B, 0.6 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())))
+    for (B, w), fiber in zip(draws, fiber_sets(*zip(*draws))):
         radius = default_valence_radius(B, w, fiber)
         rep = valence(B, w, radius, 4096)
         inside = sum(1 for v in fiber if abs(v) < radius)
-        if not (rep.valence == order == inside and rep.residual <= _VALENCE_RESIDUAL):
+        if not (rep.valence == B.order == inside and rep.residual <= _VALENCE_RESIDUAL):
             return False, {}, {
                 "reason": "valence",
                 "w": [w.real, w.imag],
@@ -348,15 +351,21 @@ def _suite_valence(trials: int, rng):
 
 
 def _suite_separation(trials: int, rng):
-    B2 = FiniteBlaschkeProduct.monomial(2)
-    est = separation_estimate(B2, 0.8, 32)
-    if not est.delta >= 1.6 - 1e-9:
-        return False, {}, {"reason": "z^2 antipodal bound", "delta": est.delta}
+    # z^2 on 0.8 <= |z| <= 1/0.8 first, then the drawn products, each on its
+    # annulus from 0.05 beyond its outermost zero; all are drawn, their
+    # fibers solved in one batch, then checked in order
+    products, annuli = [FiniteBlaschkeProduct.monomial(2)], [0.8]
     for _ in range(trials):
-        order = int(rng.integers(2, 7))
-        B = random_product(rng, order, 0.9)
-        M = max(abs(z) for z in B.zeros) + 0.05
-        est = separation_estimate(B, M, 32)
+        B = random_product(rng, int(rng.integers(2, 7)), 0.9)
+        products.append(B)
+        annuli.append(max(abs(z) for z in B.zeros) + 0.05)
+    targets = [_separation_targets(B, M, 32) for B, M in zip(products, annuli)]
+    for k, (B, M, fibers) in enumerate(zip(products, annuli, fiber_sets(products, targets))):
+        est = _separation_scan(fibers, M, 32)
+        if k == 0:
+            if not est.delta >= 1.6 - 1e-9:
+                return False, {}, {"reason": "z^2 antipodal bound", "delta": est.delta}
+            continue
         ok = est.delta > 0 and est.witness_pair is not None
         if ok:
             w1, w2 = est.witness_pair

@@ -433,6 +433,11 @@ def separation_estimate(B: FiniteBlaschkeProduct, M: float, samples: int) -> Sep
     pairwise distance within each equal-value group is recorded.  An order-1
     product has singleton fibers and reports delta = +inf with no witness pair.
     """
+    return _separation_scan(B.fiber_solve(_separation_targets(B, M, samples)), M, samples)
+
+
+def _separation_targets(B: FiniteBlaschkeProduct, M: float, samples: int) -> np.ndarray:
+    """The values of B at `separation_estimate`'s base points, after its checks of M and samples."""
     zmax = max(abs(z) for z in B.zeros)
     if not zmax < M < 1.0:
         raise InvalidAnnulusError(
@@ -443,19 +448,35 @@ def separation_estimate(B: FiniteBlaschkeProduct, M: float, samples: int) -> Sep
     circles = [M, 0.5 * (M + 1.0)]
     thetas = [2.0 * np.pi * (((i + 1) * GOLDEN_FRAC) % 1.0) for i in range(samples)]
     base = [circles[i % 2] * np.exp(1j * theta) for i, theta in enumerate(thetas)]
-    best = math.inf
-    witness = None
-    keep_tol = M * (1.0 - 1e-12)
-    for fiber in B.fiber_solve(B.eval(np.array(base))):
-        kept = [v for v in fiber if abs(v) >= keep_tol]
-        reflected = [1.0 / np.conj(v) for v in kept]
-        for group in (kept, reflected):
-            for s in range(len(group)):
-                for t in range(s + 1, len(group)):
-                    d = abs(group[s] - group[t])
-                    if d < best:
-                        best = d
-                        witness = (group[s], group[t])
+    return B.eval(np.array(base))
+
+
+def _separation_scan(fibers, M: float, samples: int) -> SeparationEstimate:
+    """`separation_estimate` from the fibers of its base points, each a list
+    of one length: in each, the points with |v| >= M (1 - 1e-12) form one
+    group and their reflections 1/conj(v) another, and delta is the least
+    distance within a group, its witness the first pair at that distance in
+    the order (fiber, group, s, t), s < t.  The pairs are scanned as arrays,
+    in blocks of at most _BLOCK (fiber x group x pair) entries."""
+    points = np.array(fibers, dtype=complex).reshape(len(fibers), -1)
+    s, t = np.triu_indices(points.shape[1], 1)
+    best, witness = math.inf, None
+    if s.size == 0:
+        return SeparationEstimate(M, best, witness, samples)
+    # moduli and distances by hypot, as abs() of a Python complex takes them
+    # (np.abs rounds apart)
+    kept = np.hypot(points.real, points.imag) >= M * (1.0 - 1e-12)
+    groups = np.stack([points, 1.0 / np.conj(np.where(kept, points, 1.0))], axis=1)
+    both = (kept[:, s] & kept[:, t])[:, None, :]
+    step = max(1, _BLOCK // (2 * s.size))
+    for i in range(0, len(points), step):
+        g = groups[i:i + step]
+        diff = g[..., s] - g[..., t]
+        d = np.where(both[i:i + step], np.hypot(diff.real, diff.imag), np.inf)
+        at = int(np.argmin(d))
+        if d.flat[at] < best:
+            f, k, p = np.unravel_index(at, d.shape)
+            best, witness = float(d.flat[at]), (complex(g[f, k, s[p]]), complex(g[f, k, t[p]]))
     return SeparationEstimate(M, best, witness, samples)
 
 

@@ -12,8 +12,9 @@ point starts next to its zero if that lies outside the Jensen circle of c,
 and otherwise on that circle where arg B meets arg c, found from the
 argument of B sampled along it.  One iteration solves many root sets side
 by side, a row of roots each: the critical points of many products with the
-same number of distinct zeros, or the fibers of many targets under one
-product.  The coupling between a row's roots, like every (points x zeros)
+same number of distinct zeros, or the fibers of many targets under products
+of one order, one product's zeros shared by all rows or a row of zeros per
+target.  The coupling between a row's roots, like every (points x zeros)
 pass, runs in blocks (_PASS_BLOCK, _BLOCK); the secular pass and the
 mirrored coupling take one complex division per entry, the fiber starts'
 sampling none.  Aberth closes on a double root only linearly, so a row's
@@ -40,6 +41,9 @@ _EPS = np.finfo(float).eps
 # block's complex arrays (128 KB) stay in cache and below numpy's 256 KB
 # threshold for reusing temporaries in place, which can swap a complex
 # multiply's operands and so its last bit: evaluation writes x *= y for x * y.
+# The fiber pass's three temporaries keep this size: over 12 alternated runs
+# of 32 targets on a shared 2-vCPU machine, blocks of 4,096 took 112 against
+# 131 ms at order 128 but lost 10 of 12 pairs at order 64 and 9 of 12 at 16.
 _BLOCK = 8192
 # Entries per block of the passes that hold four or more complex temporaries
 # at once: the secular pass, the Aberth coupling and the fiber starts'
@@ -69,14 +73,16 @@ def critical_roots(u: np.ndarray, m: np.ndarray, names) -> list:
     return _merge_critical(found, u, m)
 
 
-def fiber_roots(a: np.ndarray, gamma: complex, c: np.ndarray, distinct, tol: float, names) -> np.ndarray:
-    """All len(a) roots of Q (B - c_t) for each nonzero target c_t of the
-    1-D array c, multiplicities expanded, unsorted: a (targets x len(a))
-    array.
+def fiber_roots(a: np.ndarray, gamma, c: np.ndarray, distinct, tol: float, names) -> np.ndarray:
+    """All n roots of Q (B - c_t) for each nonzero target c_t of the 1-D
+    array c, multiplicities expanded, unsorted: a (targets x n) array.
 
-    B = gamma prod_k (a_k - w)/(1 - conj(a_k) w) over the zeros a with
+    B = gamma prod_k (a_k - w)/(1 - conj(a_k) w) over the n zeros a with
     repeats; distinct = (u, m) holds the distinct zeros and their
-    multiplicities as arrays.  All targets share one Aberth run from
+    multiplicities as arrays.  These are one product's (a of shape (n,)), or
+    a row per target (a of shape (targets x n), gamma one per target and
+    distinct a list of pairs), so that the fibers of many products of one
+    order share a run.  All targets share one Aberth run from
     `_fiber_starts`, and each sweep takes B, B' and Q'/Q of all live roots
     from one blocked pass (`_product_terms`).  A group of one target's
     iterates that rounding cannot tell apart moves onto the multiple root
@@ -86,42 +92,42 @@ def fiber_roots(a: np.ndarray, gamma: complex, c: np.ndarray, distinct, tol: flo
     NonConvergenceError when a root is still moving after the sweep cap,
     naming target t as noun labels[t], names = (noun, labels).
     """
-    absc = np.abs(c)
-    # per-run constants: the zeros' conjugates and weights, and the floor of
-    # the stopping bound's scale, len(a) smallest normals, below which B
+    absc, n = np.abs(c), a.shape[-1]
+    # per-run constants: the zeros as `_product_terms` takes them, and the
+    # floor of the stopping bound's scale, n smallest normals, below which B
     # rounds by a fixed step
-    ac, t, floor = np.conj(a), 1.0 - np.abs(a) ** 2, len(a) * np.finfo(float).tiny
+    zeros, floor = (a, np.conj(a), 1.0 - np.abs(a) ** 2, gamma), n * np.finfo(float).tiny
 
-    def product(w):
-        return _product_terms(w, a, ac, t, gamma)
-
-    def terms(w, abs_c):
-        """(B, B', Q'/Q, rounding bound of B - c) at the points w, with |c| = abs_c."""
-        val, der, qlog = product(w)
-        scale = len(a) * np.abs(val) + abs_c + np.abs(w) * np.abs(der)
+    def terms(w, rows, abs_c):
+        """(B, B', Q'/Q, rounding bound of B - c) at the points w of the given rows, with |c| = abs_c."""
+        val, der, qlog = _product_terms(w, *zeros, rows)
+        scale = n * np.abs(val) + abs_c + np.abs(w) * np.abs(der)
         return val, der, qlog, 2.0 * _EPS * np.maximum(scale, floor)
 
     def newton(w, rows):
-        val, der, qlog, noise = terms(w, absc[rows])
+        val, der, qlog, noise = terms(w, rows, absc[rows])
         f = val - c[rows]
         return f / (der + f * qlog), np.abs(f), noise
 
     w = _aberth(_fiber_starts(a, gamma, c), newton, False, names)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, der, _, noise = terms(w, absc[:, None])
+        _, der, _, noise = terms(w, np.arange(len(w)).repeat(n), absc[:, None])
     radius = _radius(noise, der)
     labels = _links(w, radius)
-    for row in (labels != np.arange(len(a))).any(axis=1).nonzero()[0]:
+    for row in (labels != np.arange(n)).any(axis=1).nonzero()[0]:
+        own = (zeros, distinct) if a.ndim == 1 else ([x[row] for x in zeros], distinct[row])
         one = (names[0], [names[1][row]])
-        w[row] = _merge_fiber(w[row], complex(c[row]), labels[row], radius[row], product, distinct, tol, one)
+        w[row] = _merge_fiber(w[row], complex(c[row]), labels[row], radius[row], *own, tol, one)
     return w
 
 
-def _product_terms(w, a, ac, t, gamma):
+def _product_terms(w, a, ac, t, gamma, rows=0):
     """(B, B', Q'/Q) at the points w, arrays of w's shape, for
     B = gamma prod_k b_k, b_k = (a_k - w)/(1 - conj(a_k) w), over the zeros a
     with repeats, and Q = prod_k (1 - conj(a_k) w); ac = conj(a) and
-    t = 1 - |a|^2, computed once per run.
+    t = 1 - |a|^2, computed once per run.  a, ac, t and gamma are one
+    product's, or a row per target, with rows the target of each point (one
+    index for all).
 
     One pass over (points x zeros) blocks of at most _BLOCK elements, with
     two complex divisions per element: with r_k = 1/(1 - conj(a_k) w) and
@@ -131,21 +137,26 @@ def _product_terms(w, a, ac, t, gamma):
     product rule at the vanishing factor, b_k' = -(1-|a_k|^2) r_k^2 times
     the other factors, which is exact there.  Those steps divide by zero or
     overflow; the caller silences the warnings (`_aberth` does for its
-    sweeps).
+    sweeps).  With a row per target, each block gathers its points' rows.
     """
-    flat = w.reshape(-1)
-    step = max(1, _BLOCK // len(a))
-    if flat.size <= step:
-        return tuple(x.reshape(w.shape) for x in _product_block(flat[:, None], a, ac, t, gamma))
+    zeros = a, ac, t, gamma
+    if a.ndim == 2 and np.ndim(rows) == 0:
+        zeros = [x[rows] for x in zeros]
+    flat, step = w.reshape(-1), max(1, _BLOCK // a.shape[-1])
+    if flat.size <= step and zeros[0].ndim == 1:
+        return tuple(x.reshape(w.shape) for x in _product_block(flat[:, None], *zeros))
     val, der, qlog = (np.empty(flat.shape, dtype=complex) for _ in range(3))
+    rows = np.reshape(rows, -1)
     for i in range(0, flat.size, step):
-        val[i:i + step], der[i:i + step], qlog[i:i + step] = _product_block(flat[i:i + step, None], a, ac, t, gamma)
+        own = zeros if zeros[0].ndim == 1 else [x[rows[i:i + step]] for x in zeros]
+        val[i:i + step], der[i:i + step], qlog[i:i + step] = _product_block(flat[i:i + step, None], *own)
     return val.reshape(w.shape), der.reshape(w.shape), qlog.reshape(w.shape)
 
 
 def _product_block(x, a, ac, t, gamma):
-    """`_product_terms` at the (points x 1) array x, as one block; a call per
-    block frees its temporaries before the next block makes its own."""
+    """`_product_terms` at the (points x 1) array x, as one block, with one
+    product's zeros or a row per point; a call per block frees its
+    temporaries before the next block makes its own."""
     # three (points x zeros) temporaries, reused in place
     r = np.multiply(ac, x)
     r = np.divide(1.0, np.subtract(1.0, r, out=r), out=r)
@@ -157,10 +168,12 @@ def _product_block(x, a, ac, t, gamma):
     bad = ~np.isfinite(der)
     if bad.any():
         # b_k' at the factor nearest 0 times the other factors
+        if a.ndim == 2:
+            a, ac, t, gamma = a[bad], ac[bad], t[bad], gamma[bad]
         r = 1.0 / (1.0 - ac * x[bad])
         f = (a - x[bad]) * r
         rows, k = np.arange(len(f)), np.abs(f).argmin(axis=1)
-        f[rows, k] = -t[k] * r[rows, k] ** 2
+        f[rows, k] = -np.broadcast_to(t, f.shape)[rows, k] * r[rows, k] ** 2
         der[bad] = gamma * np.prod(f, axis=1)
     return val, der, qlog
 
@@ -359,8 +372,10 @@ def _critical_starts(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _fiber_starts(a: np.ndarray, gamma: complex, c: np.ndarray) -> np.ndarray:
-    """Starts for the fibers of the nonzero targets c, one row each.
+def _fiber_starts(a: np.ndarray, gamma, c: np.ndarray) -> np.ndarray:
+    """Starts for the fibers of the nonzero targets c, one row each, under
+    one product's zeros a and gamma or a row of them per target
+    (`fiber_roots`).
 
     The fiber point that leaves the zero a_k as the target grows from 0 to c
     stays near it while |a_k| exceeds the radius r at which the circle mean
@@ -370,44 +385,50 @@ def _fiber_starts(a: np.ndarray, gamma: complex, c: np.ndarray) -> np.ndarray:
     and arg B rises by at most 2 pi n + k dtheta over one sample interval of
     dtheta, so interpolated angles differ by at least about dtheta/n.
     """
-    a = a[np.argsort(np.abs(a), kind="stable")]
+    n, rows = a.shape[-1], np.arange(len(c))[:, None]
+    order = np.argsort(np.abs(a), axis=-1, kind="stable")
+    a = a[order] if a.ndim == 1 else a[rows, order]
     mods = np.abs(a)
     logs = np.log(np.where(mods > 0.0, mods, 1e-300))
-    above = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
+    # above[..., j] = sum_{i >= j} log|a_i| (sorted), 0 at j = n
+    above = np.zeros(a.shape[:-1] + (n + 1,))
+    above[..., :n] = np.cumsum(logs[..., ::-1], axis=-1)[..., ::-1]
     # the circle mean at r = |a_j| (sorted) is j log|a_j| + sum_{i >= j} log|a_i|
-    means = np.arange(len(a)) * logs + above[:-1]
+    means = np.arange(n) * logs + above[..., :n]
     log_c = np.log(np.abs(c))[:, None]
     # the first k sorted zeros of each target lie inside its circle
     k = (means < log_c).sum(axis=1, keepdims=True)
-    j = np.arange(len(a))
-    r = np.exp(np.where(k > 0, (log_c - above[k]) / np.maximum(k, 1), 0.0))
-    angles = np.zeros((len(c), len(a)))
+    j = np.arange(n)
+    r = np.exp(np.where(k > 0, (log_c - (above[k] if a.ndim == 1 else above[rows, k])) / np.maximum(k, 1), 0.0))
+    angles = np.zeros((len(c), n))
     on = (k[:, 0] > 0).nonzero()[0]
     if on.size:
-        angles[on] = _circle_angles(a, gamma, c[on], k[on], r[on])
+        own = (a, gamma) if a.ndim == 1 else (a[on], gamma[on])
+        angles[on] = _circle_angles(*own, c[on], k[on], r[on])
     return np.where(j < k, r * np.exp(1j * angles), _next_to(a))
 
 
 def _circle_angles(a, gamma, c, k, r) -> np.ndarray:
-    """(targets x len(a)) angles: in row t, the first k_t are the angles on
-    the circle |w| = r_t at which arg B(w) = arg c_t + 2 pi j, j < k_t, where
-    the zeros a are sorted by modulus and the first k_t lie inside the
-    circle (k, r: (targets x 1) columns).
+    """(targets x n) angles: in row t, the first k_t are the angles on the
+    circle |w| = r_t at which arg B(w) = arg c_t + 2 pi j, j < k_t, where
+    the n zeros a (one product's, or a row per target, as gamma) are sorted
+    by modulus and the first k_t lie inside the circle (k, r: (targets x 1)
+    columns).
 
-    arg B is sampled at 2n + 2 angles per circle, n = len(a), one exact
-    principal angle per (sample, zero): arg b_k = theta + pi + arg w_k with
+    arg B is sampled at 2n + 2 angles per circle, one exact principal angle
+    per (sample, zero): arg b_k = theta + pi + arg w_k with
     w_k = (1 - a_k/w) conj(1 - conj(a_k) w) for a zero inside, arg a_k +
     arg w_k with w_k = (1 - w/a_k) conj(1 - conj(a_k) w) for one outside.
     Both factors of w_k have positive real part, so its principal angle is
     continuous along the circle and no unwrapping is needed.  The sampled
     argument need not increase off the unit circle; its running maximum is
-    inverted by linear interpolation, which puts each start at the first
-    sample interval where the argument rises through its level.  As
-    1 - a_k/w = (w - a_k) conj(w)/r^2 and 1 - w/a_k = (a_k - w) conj(a_k)/|a_k|^2,
+    inverted by linear interpolation (`_interp_rows`), which puts each start
+    at the first sample interval where the argument rises through its level.
+    As 1 - a_k/w = (w - a_k) conj(w)/r^2 and 1 - w/a_k = (a_k - w) conj(a_k)/|a_k|^2,
     w_k has the angle of (w - a_k) conj(1 - conj(a_k) w) times conj(w)/r or
     -conj(a_k)/|a_k|: no division per entry, in _PASS_BLOCK-entry blocks.
     """
-    n = len(a)
+    n = a.shape[-1]
     samples = 2 * n + 2
     theta = 2.0 * np.pi * np.arange(samples + 1) / samples
     inside, angles = np.arange(n) < k, np.angle(a)
@@ -418,19 +439,46 @@ def _circle_angles(a, gamma, c, k, r) -> np.ndarray:
     w, kw = (r * e).reshape(-1), np.repeat(k[:, 0], samples)
     # the unit factors: conj(w)/r per sample, -conj(a_k)/|a_k| per zero
     inner, outer = np.tile(np.conj(e), len(c)), np.exp(1j * (np.pi - angles))
-    wc, sums = np.conj(w), np.empty(w.size)
+    wc, sums, ab, ob = np.conj(w), np.empty(w.size), a, outer
     step = max(1, _PASS_BLOCK // n)
     for i in range(0, w.size, step):
-        v = np.subtract(w[i:i + step, None], a)
-        v *= np.where(np.arange(n) < kw[i:i + step, None], inner[i:i + step, None], outer)
-        v *= np.subtract(1.0, a * wc[i:i + step, None])
+        if a.ndim == 2:
+            # each sample takes its target's row of zeros
+            row = np.arange(i, min(i + step, w.size)) // samples
+            ab, ob = a[row], outer[row]
+        v = np.subtract(w[i:i + step, None], ab)
+        v *= np.where(np.arange(n) < kw[i:i + step, None], inner[i:i + step, None], ob)
+        v *= np.subtract(1.0, ab * wc[i:i + step, None])
         sums[i:i + step] = np.angle(v).sum(axis=1)
     phase[:, :samples] += sums.reshape(len(c), samples)
     phase[:, samples] = phase[:, 0] + 2.0 * np.pi * k[:, 0]
     phase = np.maximum.accumulate(phase, axis=1)
     first = phase[:, :1] + np.mod(np.angle(c / gamma)[:, None] - phase[:, :1], 2.0 * np.pi)
-    levels = first + 2.0 * np.pi * np.arange(n)
-    return np.array([np.interp(lv, ph, theta) for lv, ph in zip(levels, phase)])
+    return _interp_rows(first + 2.0 * np.pi * np.arange(n), phase, theta)
+
+
+def _interp_rows(x, xp, fp) -> np.ndarray:
+    """np.interp(x[t], xp[t], fp) for each row t of x and xp, bit for bit, in
+    one pass: fp[j] at or beyond the ends and where xp[j] = x, else
+    slope (x - xp[j]) + fp[j], slope = (fp[j+1] - fp[j])/(xp[j+1] - xp[j]),
+    with j the last sample at or below x (xp's rows non-decreasing, all
+    values finite).  One search finds every j: complex numbers order by
+    (real, imag), so the keys t + i xp[t] of all rows, flattened, are sorted.
+    A single row, as a fiber of one target has, is np.interp's own call:
+    4 us against 25 at order 4 on a shared 2-vCPU machine."""
+    if len(x) == 1:
+        return np.interp(x[0], xp[0], fp)[None]
+    rows = np.arange(len(x))[:, None]
+    keys, at = np.empty(xp.shape, dtype=complex), np.empty(x.shape, dtype=complex)
+    keys.real, keys.imag, at.real, at.imag = rows, xp, rows, x
+    j = np.searchsorted(keys.reshape(-1), at.reshape(-1), side="right").reshape(x.shape) - rows * xp.shape[1] - 1
+    lo = np.minimum(np.maximum(j, 0), xp.shape[1] - 2)
+    hi, inside = lo + 1, lo == j
+    x0, y0, y1 = xp[rows, lo], fp[lo], fp[hi]
+    # beyond an end the interval is clipped: y0 = fp[0] below, y1 = fp[-1]
+    # above, and the unused slope is kept finite
+    inner = (y1 - y0) / np.where(inside, xp[rows, hi] - x0, 1.0) * (x - x0) + y0
+    return np.where(inside, np.where(x0 == x, y0, inner), np.where(j < 0, y0, y1))
 
 
 def _radius(noise, d1) -> np.ndarray:
@@ -501,11 +549,11 @@ def _merge_critical(z, u, m) -> list:
     return found
 
 
-def _merge_fiber(w: np.ndarray, c: complex, labels, radius, product, distinct, tol: float, names) -> np.ndarray:
+def _merge_fiber(w: np.ndarray, c: complex, labels, radius, zeros, distinct, tol: float, names) -> np.ndarray:
     """One target's converged fiber iterates w, with multiple roots merged;
-    labels and radius hold their `_links` labels and `_radius`, product(w)
-    returns (B, B', Q'/Q) at the points w (`_product_terms`), and
-    distinct = (u, m) holds the distinct zeros and their multiplicities.
+    labels and radius hold their `_links` labels and `_radius`, zeros are
+    its product's as `_product_terms` takes them, and distinct = (u, m)
+    holds the distinct zeros and their multiplicities.
 
     The iterates of one `_links` group are one multiple root.  A group of k
     iterates, each within 8 k radii of a repeated zero u_j of multiplicity at
@@ -519,7 +567,7 @@ def _merge_fiber(w: np.ndarray, c: complex, labels, radius, product, distinct, t
     refines a double root names its row as the target, names = (noun, [label]).
     """
     u, m = distinct
-    zeros, out = _secular_zeros(u, m), w.copy()
+    secular, out = _secular_zeros(u, m), w.copy()
     for head in np.flatnonzero(np.bincount(labels) > 1):
         idx = (labels == head).nonzero()[0]
         k = len(idx)
@@ -531,14 +579,14 @@ def _merge_fiber(w: np.ndarray, c: complex, labels, radius, product, distinct, t
             out[idx] = u[j]
             continue
         if k == 2:
-            crit = _aberth(np.array([[loc]]), lambda z, rows: _critical_newton(z, zeros), False, names)
+            crit = _aberth(np.array([[loc]]), lambda z, rows: _critical_newton(z, secular), False, names)
             (loc, _), = _merge_critical(crit, u[None], m[None])[0]
         elif abs(loc) <= max(abs(w[i] - loc) for i in idx):
             loc = 0j
-        s, ds, _, _ = _secular(np.array([loc]), zeros)
+        s, ds, _, _ = _secular(np.array([loc]), secular)
         # B'' = B' S + B S'
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val, der_p, _ = product(np.array([loc]))
+            val, der_p, _ = _product_terms(np.array([loc]), *zeros)
             allowed = np.sqrt(2.0 * tol * (1.0 + abs(c)) / abs(der_p[0] * s[0] + val[0] * ds[0]))
         if all(abs(w[i] - loc) <= allowed for i in idx):
             out[idx] = loc

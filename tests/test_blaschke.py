@@ -14,6 +14,7 @@ from blaschkelab import (
     collinearity_residual,
     critical_sets,
     fatou_quotient,
+    fiber_sets,
     geodesic_point,
     hull_contains,
     hyperbolic_convex_hull,
@@ -902,6 +903,25 @@ class TestProductTerms:
             assert der[0] != 0 and abs(der[0] - ref_der[0]) <= 16 * np.finfo(float).eps * order * abs(ref_der[0])
         assert np.isfinite(der[1])
 
+    def test_a_row_per_point_takes_its_products_zeros(self):
+        # points of two order-64 products, their zeros gathered per block of
+        # the pass, against each product's own pass; a point on a zero takes
+        # the product rule's branch, with 0 on the repeated one
+        products = [self.product(64, kind)[0] for kind in ("simple", "repeated")]
+        rng = np.random.default_rng(65)
+        rows = rng.integers(0, 2, size=300)
+        w = 0.99 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+        w[:2], rows[:2] = [products[0].zeros[0], products[1].zeros[0]], [0, 1]
+        a = np.array([B.zeros for B in products])
+        assert w.size * 64 > 2 * _BLOCK
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            got = polyroots._product_terms(w, a, np.conj(a), 1.0 - np.abs(a) ** 2,
+                                           np.array([B.gamma for B in products]), rows)
+        assert got[0][0] == got[0][1] == got[1][1] == 0 and got[1][0] != 0
+        for r, B in enumerate(products):
+            for x, want in zip(got, self.terms(w[rows == r], B)):
+                assert np.all(np.abs(x[rows == r] - want) <= 1e-14 * np.abs(want))
+
 
 def disc_array(rng, n, radius):
     return radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
@@ -1027,6 +1047,25 @@ class TestAberthKernels:
         gaps = np.abs(starts[:, :, None] - starts[:, None, :]) + np.eye(order)
         assert np.all(gaps > 0.0)
 
+    def test_interp_rows_is_np_interp_bit_for_bit(self):
+        # rows of a running maximum with flat runs; levels on a sample (in
+        # and at the ends of flat runs), on the first and the closing sample,
+        # below the first and beyond the last, in no order
+        rng = np.random.default_rng(28)
+        rows, samples = 200, 14
+        fp = 2.0 * np.pi * np.arange(samples + 1) / samples
+        xp = np.maximum.accumulate(np.cumsum(rng.normal(0.3, 1.0, size=(rows, samples + 1)), axis=1), axis=1)
+        flat = np.diff(xp, axis=1) == 0
+        assert flat.sum() > rows
+        x = rng.uniform(xp[:, :1] - 0.5, xp[:, -1:] + 0.5, size=(rows, 9))
+        x[:, 0], x[:, 1] = xp[:, 0], xp[:, -1]
+        x[:, 2:4] = np.take_along_axis(xp, rng.integers(0, samples + 1, size=(rows, 2)), axis=1)
+        at = np.argmax(flat, axis=1)
+        x[:, 4], x[:, 5] = xp[np.arange(rows), at], xp[np.arange(rows), at + 1]
+        want = np.array([np.interp(xr, pr, fp) for xr, pr in zip(x, xp)])
+        assert same_bits(polyroots._interp_rows(x, xp, fp), want)
+        assert same_bits(polyroots._interp_rows(x[:1], xp[:1], fp), want[:1])
+
 
 class TestFiberSolve:
     def test_square_fiber(self):
@@ -1146,6 +1185,59 @@ class TestFiberSolve:
         B = FiniteBlaschkeProduct(1.0, (0.5, -0.3j))
         with pytest.raises(ValueError):
             B.fiber_solve(np.array([0.2, bad, 0.1j]))
+
+
+class TestFiberSets:
+    def test_matches_per_product_calls(self, monkeypatch):
+        # orders 1-16, four of them with several products; per product the
+        # targets 0 and a critical value, whose double root is merged, and
+        # two more; repeated zeros, and a scalar target
+        merged = []
+        merge = polyroots._merge_fiber
+
+        def counted(w, c, *args):
+            merged.append(c)
+            return merge(w, c, *args)
+
+        rng = np.random.default_rng(21)
+        products = [random_product(rng, order, 0.9) for order in range(1, 17)]
+        products += [random_product(rng, order, 0.9) for order in (3, 3, 6, 16)]
+        products += [FiniteBlaschkeProduct(1.0, (0.5, 0.5, 0.5, -0.3j, -0.3j, 0.2)),
+                     FiniteBlaschkeProduct(1.0, (0.5, -0.5)), FiniteBlaschkeProduct.monomial(6)]
+        targets = []
+        for B in products:
+            values = [complex(B.eval(p)) for p, _ in B.critical_points().interior]
+            critical = next((v for v in values if abs(v) > 1e-3), 0.3j)
+            targets.append(np.array([0.0, critical, rand_disc(rng, 0.9), rand_disc(rng, 0.5)]))
+        targets[4] = complex(targets[4][2])
+        monkeypatch.setattr(polyroots, "_merge_fiber", counted)
+        batch = fiber_sets(products, targets)
+        assert len(merged) >= 10
+        monkeypatch.setattr(polyroots, "_merge_fiber", merge)
+        assert len(batch) == len(products)
+        for B, c, got in zip(products, targets, batch):
+            want = B.fiber_solve(c)
+            assert np.shape(got) == np.shape(want) == np.shape(c) + (B.order,)
+            assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-14
+
+    def test_empty(self):
+        assert fiber_sets([], []) == []
+
+    def test_non_convergence_names_the_products_and_targets(self, monkeypatch):
+        # products 0 and 2 share the order-5 run; target 0 of product 0 takes the shortcut
+        rng = np.random.default_rng(12)
+        products = [random_product(rng, 5, 0.9), FiniteBlaschkeProduct(1.0, (0.3,)), random_product(rng, 5, 0.9)]
+        monkeypatch.setattr(polyroots, "_MAX_SWEEPS", 1)
+        with pytest.raises(NonConvergenceError,
+                           match=r"\(targets 1 of product 0, 2 of product 0, 0 of product 2\)$"):
+            fiber_sets(products, [np.array([0.0, 0.3, 0.5j]), 0.2, 0.4])
+
+    def test_rejects_a_bad_target_or_a_missing_one(self):
+        B = FiniteBlaschkeProduct(1.0, (0.5, -0.3j))
+        with pytest.raises(ValueError):
+            fiber_sets([B, B], [0.2, np.array([0.1, 1.0])])
+        with pytest.raises(ValueError):
+            fiber_sets([B, B], [0.2])
 
 
 class TestConjugateBy:

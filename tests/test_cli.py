@@ -316,6 +316,25 @@ class TestVerify:
             assert rc == EXIT_OK
         assert calls == [200, 200]
 
+    @pytest.mark.parametrize("suite,products", [("separation", 21), ("valence", 20)])
+    def test_fibers_of_each_seed_in_one_batch(self, monkeypatch, suite, products):
+        # one call per seed with every product of the suite: z^2 and the 20
+        # drawn ones for separation, the 20 drawn ones for valence
+        import blaschkelab.cli as cli
+
+        calls = []
+        real = cli.fiber_sets
+
+        def counted(items, targets):
+            calls.append(len(items))
+            return real(items, targets)
+
+        monkeypatch.setattr(cli, "fiber_sets", counted)
+        for seed in ("7", "1"):
+            rc, out = run(["verify", "--suite", suite, "--seed", seed])
+            assert rc == EXIT_OK and json.loads(out)["pass"] is True
+        assert calls == [products, products]
+
     def test_failure_path_serializes_instance(self, monkeypatch):
         # an impossible threshold forces the failure branch: exit 1 plus a
         # replayable serialized instance in the summary

@@ -518,17 +518,51 @@ class TestSeparation:
     def test_all_fibers_in_one_solve(self, monkeypatch):
         # the base points' fibers share one Aberth run, not one run each
         calls = []
-        solve = FiniteBlaschkeProduct.fiber_solve
+        solve = blaschke.fiber_sets
 
-        def counted(self, c):
-            calls.append(np.shape(c))
-            return solve(self, c)
+        def counted(products, targets):
+            calls.append([np.shape(c) for c in targets])
+            return solve(products, targets)
 
-        monkeypatch.setattr(FiniteBlaschkeProduct, "fiber_solve", counted)
+        monkeypatch.setattr(blaschke, "fiber_sets", counted)
         B = random_product(np.random.default_rng(4), 5, 0.8)
         est = separation_estimate(B, max(abs(z) for z in B.zeros) + 0.05, 32)
         assert est.delta > 0
-        assert calls == [(32,)]
+        assert calls == [[(32,)]]
+
+    @staticmethod
+    def loop_scan(fibers, M):
+        """The pair scan as a loop: (delta, witness pair) over the kept points
+        of each fiber and their reflections, the first pair at the least
+        distance in loop order."""
+        best, witness = math.inf, None
+        for fiber in fibers:
+            kept = [v for v in fiber if abs(v) >= M * (1.0 - 1e-12)]
+            reflected = [1.0 / np.conj(v) for v in kept]
+            for group in (kept, reflected):
+                for s in range(len(group)):
+                    for t in range(s + 1, len(group)):
+                        d = abs(group[s] - group[t])
+                        if d < best:
+                            best, witness = d, (group[s], group[t])
+        return best, witness
+
+    def test_pair_scan_matches_the_loop(self):
+        # 50 random products of orders 2-16, z^2 (whose antipodal pairs all
+        # tie) and an order-1 product (no pairs)
+        rng = np.random.default_rng(50)
+        cases = [(FiniteBlaschkeProduct.monomial(2), 0.8), (FiniteBlaschkeProduct(1.0, (0.3,)), 0.5)]
+        for _ in range(50):
+            B = random_product(rng, int(rng.integers(2, 17)), 0.9)
+            cases.append((B, max(abs(z) for z in B.zeros) + 0.05))
+        for B, M in cases:
+            fibers = B.fiber_solve(lab._separation_targets(B, M, 32))
+            delta, witness = self.loop_scan(fibers, M)
+            est = lab._separation_scan(fibers, M, 32)
+            assert est.witness_pair == witness
+            assert est.delta == delta or abs(est.delta - delta) <= np.spacing(delta)
+            if B.order == 1:
+                assert est.delta == math.inf and est.witness_pair is None
 
 
 class TestDensityFamilies:
