@@ -34,6 +34,7 @@ print("\nsample values at z = 0.4 (watch the sign of the un-renormalized column)
 B = FiniteBlaschkeProduct.monomial(2)
 terms = SequenceSpec(1.0, "alternating", 0.35, COUNT).terms()
 z = np.array([0.4 + 0j])
-pairs = zip(_conjugates(B, terms, z, renormalize=False), _conjugates(B, terms, z))
-for k, (raw, fixed) in enumerate(pairs, start=1):
-    print(f"  k={k:2d}  un-renormalized {raw[0].real:+.6f}  renormalized {fixed[0].real:+.6f}")
+# one row per term, every term in one call
+raw, fixed = _conjugates(B, terms, z, renormalize=False), _conjugates(B, terms, z)
+for k, (r, f) in enumerate(zip(raw[:, 0].real, fixed[:, 0].real), start=1):
+    print(f"  k={k:2d}  un-renormalized {r:+.6f}  renormalized {f:+.6f}")

@@ -106,10 +106,14 @@ def _chunk_factors(zeros, sizes) -> dict:
     """{size: runs of size zeros (of size/2 if a zero lies past 1 - 6e-6)} for each of sizes, each run
     (s, factors).  From _SMALL up a zero gives (z_k, r_k, None, d_k, C d_k): pole factor r_k - z,
     r_k = 1/conj(z_k), d_k = -t_k/conj(z_k), t_k = 1 - |z_k|^2; below (z_k, None, c_k, -t_k, C d_k):
-    1 - c_k z, c_k = conj(z_k).  s = 1/C, C the product of the run's conj(z_k) of r_k - z."""
-    f = [(z, 1.0 / z.conjugate(), None, (abs(z) ** 2 - 1.0) / z.conjugate()) if abs(z) >= _SMALL
-         else (z, None, z.conjugate(), abs(z) ** 2 - 1.0) for z in zeros]
-    near = max(map(abs, zeros)) > 1.0 - 6e-6
+    1 - c_k z, c_k = conj(z_k).  s = 1/C, C the product of the run's conj(z_k) of r_k - z.  A zero is a
+    number, or a (rows, 1) column of one zero per row of points, whose constants are then columns too:
+    it takes the pole factor r_k - z where every row's zero is at least _SMALL."""
+    zs = np.array(zeros)
+    mods = np.hypot(zs.real, zs.imag).reshape(len(zs), -1)  # abs() of a Python complex, a row per zero
+    f = [(z, 1.0 / z.conjugate(), None, (abs(z) ** 2 - 1.0) / z.conjugate()) if low >= _SMALL
+         else (z, None, z.conjugate(), abs(z) ** 2 - 1.0) for z, low in zip(zeros, mods.min(axis=1).tolist())]
+    near = mods.max() > 1.0 - 6e-6
     runs = {size: [] for size in sizes}
     for size, m in ((size, (size + 1) // 2 if near else size) for size in sizes):
         for run in (f[i:i + m] for i in range(0, len(f), m)):
@@ -119,7 +123,8 @@ def _chunk_factors(zeros, sizes) -> dict:
 
 
 def _product(gamma, runs, zz: np.ndarray) -> np.ndarray:
-    """gamma prod s N/D over the runs (`_chunk_factors`), N = prod (z_k - z), D = prod p_k."""
+    """gamma prod s N/D over the runs (`_chunk_factors`), N = prod (z_k - z), D = prod p_k: of zz's
+    shape, or (rows, points) for runs of columns and points zz of one dimension."""
     out = np.full(zz.shape, gamma, dtype=complex)
     for s, ((a, r, c, _, _), *rest) in runs:
         num, den = a - zz, r - zz if c is None else 1.0 - c * zz

@@ -33,7 +33,6 @@ from .lab import (
     fatou_limit_scan,
     fatou_quotient,
     random_product,
-    rotation_constant,
     valence,
 )
 
@@ -48,7 +47,7 @@ EXIT_IO = 4
 HULL_TOL = 1e-8             # Klein-model membership tolerance
 REFLECTION_TOL = 1e-8       # interior/exterior critical pairing
 CONVERGE_FINAL = 1e-6       # final sup deviation of the conjugates
-ROTATION_MATCH = 1e-12      # rotation constant cross-check
+ROTATION_MATCH = 1e-12      # rotation constant against the boundary identity
 COUNTEREXAMPLE_DEV = 1e-6   # even/odd/renormalized limit deviations, above noise
 FATOU_SLACK = 1e-12         # Schwarz-Pick upper slack
 FATOU_SCAN = 1e-3           # distance of boundary scan minima to 1
@@ -279,6 +278,12 @@ def _suite_converge(trials: int, rng):
         )
     final_devs = []
     for B, g0, rate in cases:
+        # on the circle zeta B'(zeta)/B(zeta) = |B'(zeta)|, so the rotation
+        # B'(gamma0)/|B'(gamma0)| is also B(gamma0) conj(gamma0)/|B(gamma0)|,
+        # which takes no derivative
+        g = g0 / abs(g0)
+        b = B.eval(g)
+        rot = b * g.conjugate() / abs(b)
         for mode in ("radial", "spiral"):
             recs = convergence_experiment(B, SequenceSpec(g0, mode, rate, 14), 0.9)
             devs = [r.sup_deviation for r in recs]
@@ -291,13 +296,20 @@ def _suite_converge(trials: int, rng):
                 devs[i] > devs[i + 1] or devs[i + 1] <= floors[i + 1]
                 for i in range(len(devs) - 5, len(devs) - 1)
             )
-            rot2 = rotation_constant(B, g0)
-            ok = ok and abs(recs[-1].rotation_constant - rot2) <= ROTATION_MATCH
             if not ok:
                 return False, {"final_devs": final_devs}, {
                     "reason": "convergence",
                     "mode": mode,
                     "devs": devs,
+                    **_serialize_product(B),
+                }
+            got = recs[-1].rotation_constant
+            if not abs(got - rot) <= ROTATION_MATCH:
+                return False, {"final_devs": final_devs}, {
+                    "reason": "rotation constant",
+                    "mode": mode,
+                    "rotation_constant": [got.real, got.imag],
+                    "boundary_identity": [rot.real, rot.imag],
                     **_serialize_product(B),
                 }
             final_devs.append(devs[-1])
@@ -379,9 +391,11 @@ def _suite_fatou(trials: int, rng):
     for _ in range(trials):
         order = int(rng.integers(1, 11))
         B = random_product(rng, order, 0.9)
-        for _ in range(20):
-            z = 0.97 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            q = fatou_quotient(B, z)
+        # 20 points, each a radius and an angle drawn in turn, all in one evaluation;
+        # checked in the order drawn
+        u = rng.uniform(size=(20, 2))
+        zs = 0.97 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+        for z, q in zip(zs.tolist(), fatou_quotient(B, zs).tolist()):
             if q > 1.0 + FATOU_SLACK:
                 return False, {}, {"reason": "Schwarz-Pick", "z": [z.real, z.imag], "q": q,
                                    **_serialize_product(B)}

@@ -37,7 +37,7 @@ from .errors import (
     PoleProximityError,
 )
 from .hyperbolic import collinearity_residual, hull_contains, hyperbolic_convex_hull
-from .moebius import DOMAIN_SLACK, POLE_TOL, DiscAutomorphism
+from .moebius import DOMAIN_SLACK, INTERIOR_MARGIN, POLE_TOL, DiscAutomorphism
 from .polyroots import _BLOCK
 
 GOLDEN_FRAC = 0.6180339887498949
@@ -180,48 +180,79 @@ def rotation_constant(B: FiniteBlaschkeProduct, gamma0) -> complex:
     return d / abs(d)
 
 
-def _conjugates(B: FiniteBlaschkeProduct, terms, pts, renormalize=True):
-    """For each (a, gamma) of terms, T_{c, g} o B o T_{a, gamma} on pts, c = B(a gamma), g = conj(gamma)
-    (1 without renormalization), as one product.  B o T_{a, gamma} = lam P, P = prod_j (w_j - z)/(1 -
-    conj(w_j) z), w_j = T^{-1}(z_j) = (gamma a - z_j)/d_j, d_j = gamma - conj(a) z_j, and lam = gamma_B
-    prod_j -d_j/(gamma conj(d_j)) (Garcia, Mashreghi & Ross 2018, ch. 3).  So c = lam p, p = prod_j w_j,
-    and with mu = g lam the value is (p - P)/(conj(mu) - conj(mu p) P), in place on P's array: mu stays
-    out of p - P, whose rounding the outer map magnifies.  Raises as the composition did: ValueError
-    beyond the closed disc or for a, c within 1e-15 of the circle, PoleProximityError at a pole."""
+def _conjugates(B: FiniteBlaschkeProduct, terms, pts, renormalize=True) -> np.ndarray:
+    """T_{c, g} o B o T_{a, gamma} on pts for each (a, gamma) of terms, c = B(a gamma), g = conj(gamma) (1
+    without renormalization), as one product: a (terms x *pts.shape) array, a row per term.  B o T_{a, gamma}
+    = lam P, P = prod_j (w_j - z)/(1 - conj(w_j) z), w_j = T^{-1}(z_j) = (gamma a - z_j)/d_j, d_j = gamma -
+    conj(a) z_j, and lam = gamma_B prod_j -d_j/(gamma conj(d_j)) (Garcia, Mashreghi & Ross 2018, ch. 3).  So
+    c = lam p, p = prod_j w_j, and with mu = g lam the value is (p - P)/(conj(mu) - conj(mu p) P), in place on
+    P's array: mu stays out of p - P, whose rounding the outer map magnifies.  All terms are formed as arrays,
+    a row per term, and P takes `_product`'s reflected chunks with a column of constants per zero.  Raises
+    what the composition term by term raised first: ValueError beyond the closed disc or for a, c within
+    1e-15 of the circle, PoleProximityError at a pole."""
     zz = coerce_points(pts)[0]
     m = float(np.max(np.abs(zz), initial=0.0))
     if m > 1.0 + DOMAIN_SLACK:
         raise ValueError("conjugate evaluation point lies outside the closed disc")
-    for a, gamma in terms:
-        inner = DiscAutomorphism(a, gamma)
-        a, gamma, lam, w = inner.a, inner.gamma, B.gamma, []
-        for z in B.zeros:
-            d = gamma - a.conjugate() * z
-            w.append((gamma * a - z) / d)
-            lam *= -d / (gamma * d.conjugate())
-        p = math.prod(w)
-        outer = DiscAutomorphism(lam * p, gamma.conjugate() if renormalize else 1.0)
-        # the poles of T and P: |1 - conj(b) z| >= 1 - |b| m, so no check fires from 2 POLE_TOL up
-        for b in (a, *w):
-            if 1.0 - abs(b) * m < 2.0 * POLE_TOL and np.any(np.abs(1.0 - b.conjugate() * zz) < POLE_TOL):
-                raise PoleProximityError(f"evaluation point too close to the pole 1/conj({b})")
-        P = _product(1.0, _chunk_factors(w, (_CHUNK,))[_CHUNK], zz)
-        # With m < 1 and every |w_j| < 1, |P| <= 1, and P rounds to relative u (sum_j (20 + 10/q_j)
-        # + 28 chunks) <= eps, q_j = 1 - |w_j| m, as `_noise` models `_eval`.  Then |B o T| = |P| >
-        # 1 + DOMAIN_SLACK cannot hold if eps <= DOMAIN_SLACK, nor |1 - conj(c) B o T| =
-        # |1 - conj(p) P| < POLE_TOL if 1 - |p| (1 + eps) >= 2 POLE_TOL.
-        big = max(map(abs, w))
-        eps = 2.0 ** -53 * len(w) * (48.0 + 10.0 / (1.0 - big * m)) if max(m, big) < 1.0 else math.inf
-        if not eps <= DOMAIN_SLACK and np.any(np.abs(P) > 1.0 + DOMAIN_SLACK):
-            raise ValueError("B o T lies outside the closed disc")
-        mu = outer.gamma * lam
-        den = (mu * p).conjugate() * P
-        np.subtract(mu.conjugate(), den, out=den)
-        if not 1.0 - abs(p) * (1.0 + eps) >= 2.0 * POLE_TOL and np.any(np.abs(den) < POLE_TOL):
-            raise PoleProximityError("evaluation point too close to the pole 1/conj(B(a gamma))")
-        np.subtract(p, P, out=P)
-        P /= den
-        yield P
+    flat, terms = zz.reshape(-1), list(terms)
+    if not terms:
+        return np.empty((0,) + zz.shape, dtype=complex)
+
+    def first(failed) -> int:
+        """The first term that fails a check, after raising what an earlier term raises, if one does."""
+        k = int(np.argmax(failed))
+        _conjugates(B, terms[:k], pts, renormalize)
+        return k
+
+    a, gamma = np.array(terms, dtype=complex).reshape(-1, 2).T
+    # DiscAutomorphism's checks of the inner maps (abs of a Python complex is hypot)
+    bad = ~(np.hypot(a.real, a.imag) < 1.0 - INTERIOR_MARGIN) | ~np.isfinite(np.hypot(gamma.real, gamma.imag))
+    bad |= gamma == 0
+    if bad.any():
+        DiscAutomorphism(*terms[first(bad)])  # raises
+    gamma = gamma / np.hypot(gamma.real, gamma.imag)
+    z = np.array(B.zeros)
+    d = gamma[:, None] - np.conj(a)[:, None] * z
+    w = ((gamma * a)[:, None] - z) / d
+    lam = B.gamma * np.prod(-d / (gamma[:, None] * np.conj(d)), axis=1)
+    p = np.prod(w, axis=1)
+    c, g = lam * p, np.conj(gamma) if renormalize else np.ones_like(gamma)
+    bad = ~(np.hypot(c.real, c.imag) < 1.0 - INTERIOR_MARGIN)
+    if bad.any():
+        k = first(bad)
+        DiscAutomorphism(c[k], g[k])  # raises
+    # the poles of T and P: |1 - conj(b) z| >= 1 - |b| m, so no check fires from 2 POLE_TOL up
+    b = np.column_stack([a, w])
+    for k, j in zip(*np.nonzero(1.0 - np.hypot(b.real, b.imag) * m < 2.0 * POLE_TOL)):
+        if np.any(np.abs(1.0 - np.conj(b[k, j]) * flat) < POLE_TOL):
+            first(np.arange(len(terms)) == k)
+            raise PoleProximityError(f"evaluation point too close to the pole 1/conj({complex(b[k, j])})")
+    P = _product(1.0, _chunk_factors(list(w.T[:, :, None]), (_CHUNK,))[_CHUNK], flat)
+    # With m < 1 and every |w_j| < 1, |P| <= 1, and P rounds to relative u (sum_j (20 + 10/q_j)
+    # + 28 chunks) <= eps, q_j = 1 - |w_j| m, as `_noise` models `_eval`: a row rounds as one
+    # product, in either factor form and with at most order chunks.  Then |B o T| = |P| > 1 +
+    # DOMAIN_SLACK cannot hold if eps <= DOMAIN_SLACK, nor |1 - conj(c) B o T| = |1 - conj(p) P| <
+    # POLE_TOL if 1 - |p| (1 + eps) >= 2 POLE_TOL.
+    big = np.max(np.hypot(w.real, w.imag), axis=1)
+    eps = np.full(big.shape, math.inf)
+    live = np.maximum(big, m) < 1.0
+    eps[live] = 2.0 ** -53 * z.size * (48.0 + 10.0 / (1.0 - big[live] * m))
+    rows = ~(eps <= DOMAIN_SLACK)
+    rows[rows] = np.any(np.abs(P[rows]) > 1.0 + DOMAIN_SLACK, axis=1)
+    if rows.any():
+        first(rows)
+        raise ValueError("B o T lies outside the closed disc")
+    mu = g * lam
+    den = np.conj(mu * p)[:, None] * P
+    np.subtract(np.conj(mu)[:, None], den, out=den)
+    rows = ~(1.0 - np.hypot(p.real, p.imag) * (1.0 + eps) >= 2.0 * POLE_TOL)
+    rows[rows] = np.any(np.abs(den[rows]) < POLE_TOL, axis=1)
+    if rows.any():
+        first(rows)
+        raise PoleProximityError("evaluation point too close to the pole 1/conj(B(a gamma))")
+    np.subtract(p[:, None], P, out=P)
+    P /= den
+    return P.reshape((len(terms),) + zz.shape)
 
 
 def convergence_experiment(
@@ -234,7 +265,8 @@ def convergence_experiment(
     For each term (a_k, gamma_k) of seq the conjugate f_k is evaluated at
     96 equally spaced points of the circle |z| = r as one product, B o
     T_{a_k, gamma_k} from its closed-form zeros with the outer automorphism
-    folded in (`_conjugates`), and compared with z -> rot * z where
+    folded in, all terms in one array pass (`_conjugates`, in blocks of
+    _BLOCK (term x point) entries), and compared with z -> rot * z where
     rot = B'(gamma0)/|B'(gamma0)| at gamma0 = seq.gamma0.  f_k - rot z is
     analytic on the closed disc, so by the maximum modulus principle its sup
     over |z| <= r is taken on |z| = r: the circle is the outer ring of the
@@ -244,11 +276,11 @@ def convergence_experiment(
         raise ValueError("compact radius r must lie in (0, 0.95]")
     rot = rotation_constant(B, seq.gamma0)
     pts = r * np.exp(1j * (2.0 * np.pi * np.arange(96) / 96))
-    rz, terms, records = rot * pts, seq.terms(), []
-    for k, ((a, g), vals) in enumerate(zip(terms, _conjugates(B, terms, pts)), start=1):
-        vals -= rz
-        records.append(ConvergenceRecord(k, a, g, float(np.max(np.abs(vals))), rot))
-    return records
+    rz, terms, step = rot * pts, seq.terms(), _BLOCK // pts.size
+    devs = [np.max(np.abs(_conjugates(B, terms[i:i + step], pts) - rz), axis=1)
+            for i in range(0, len(terms), step)]
+    return [ConvergenceRecord(k, a, g, float(dev), rot)
+            for k, ((a, g), dev) in enumerate(zip(terms, np.concatenate(devs)), start=1)]
 
 
 def counterexample_run(count: int) -> CounterexampleResult:
@@ -270,23 +302,37 @@ def counterexample_run(count: int) -> CounterexampleResult:
     if not 6 <= count <= last:
         raise ValueError(f"count must be at least 6 and at most {last}: later terms come within POLE_TOL of a pole")
     B = FiniteBlaschkeProduct.monomial(2)
-    terms = SequenceSpec(1.0, "alternating", COUNTEREXAMPLE_RATE, count).terms()
+    terms = SequenceSpec(1.0, "alternating", COUNTEREXAMPLE_RATE, count).terms()[-2:]
     small, wide = _polar_grid(0.5, 16), _polar_grid(0.75, 16)
-
-    def values(k, pts, renormalize=False):
-        return next(_conjugates(B, terms[k - 1:k], pts, renormalize))
-
-    k_even, k_odd = (count, count - 1) if count % 2 == 0 else (count - 1, count)
+    # rows: terms count - 1 and count, un-renormalized; columns: both grids, in one call
+    both = _conjugates(B, terms, np.concatenate([small, wide]), renormalize=False)
+    near, far = both[:, :small.size], both[:, small.size:]
+    even, odd = near[::-1] if count % 2 == 0 else near
+    # renormalizing multiplies a conjugate by conj(gamma_k) = (-1)**k, exactly
+    renormalized = near[1] if count % 2 == 0 else -near[1]
     return CounterexampleResult(
-        float(np.max(np.abs(values(k_even, small) - small))),
-        float(np.max(np.abs(values(k_odd, small) + small))),
-        float(np.max(np.abs(values(count, wide) - values(count - 1, wide)))),
-        float(np.max(np.abs(values(count, small, renormalize=True) - small))),
+        float(np.max(np.abs(even - small))),
+        float(np.max(np.abs(odd + small))),
+        float(np.max(np.abs(far[1] - far[0]))),
+        float(np.max(np.abs(renormalized - small))),
     )
 
 
-def fatou_quotient(B: FiniteBlaschkeProduct, z) -> float:
-    """(1 - |z|^2) |B'(z)| / (1 - |B(z)|^2), the Schwarz-Pick quotient in [0, 1]."""
+def fatou_quotient(B: FiniteBlaschkeProduct, z):
+    """(1 - |z|^2) |B'(z)| / (1 - |B(z)|^2), the Schwarz-Pick quotient in [0, 1]: a float at a
+    number z, an array of quotients at an array (or list) of points, from one evaluation pass.
+    ValueError unless every point lies inside the disc, and BoundaryProximityError where |B|
+    rounds to within 1e-13 of 1."""
+    if isinstance(z, (np.ndarray, list, tuple)) and np.ndim(z):
+        zz = np.asarray(z, dtype=complex)
+        mod = np.abs(zz)
+        if not np.all(mod < 1.0):
+            raise ValueError("quotient is defined for interior points only")
+        bz, dz = B._value_and_derivative(zz)
+        bmod = np.abs(bz)
+        if np.any(bmod >= 1.0 - 1e-13):
+            raise BoundaryProximityError("1 - |B(z)|^2 underflows this close to the circle")
+        return (1.0 - mod ** 2) * np.abs(dz) / (1.0 - bmod ** 2)
     z = complex(z)
     if not abs(z) < 1.0:
         raise ValueError("quotient is defined for interior points only")
@@ -297,7 +343,10 @@ def fatou_quotient(B: FiniteBlaschkeProduct, z) -> float:
 
 
 def fatou_limit_scan(B: FiniteBlaschkeProduct, radii, angles: int) -> list:
-    """Per-radius minimum of the Schwarz-Pick quotient over angular samples."""
+    """Per-radius minimum of the Schwarz-Pick quotient over `angles` equally
+    spaced samples, as (radius, minimum) pairs: every radius in one
+    (radii x angles) evaluation.  BoundaryProximityError names the first
+    radius at which |B| rounds to within 1e-13 of 1."""
     radii = [float(r) for r in radii]
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])) or any(
         not 0.0 <= r < 1.0 for r in radii
@@ -305,16 +354,14 @@ def fatou_limit_scan(B: FiniteBlaschkeProduct, radii, angles: int) -> list:
         raise ValueError("radii must increase strictly and stay below 1")
     if angles < 1:
         raise ValueError("need at least one angular sample")
-    thetas = 2.0 * np.pi * np.arange(angles) / angles
-    out = []
-    for r in radii:
-        pts = r * np.exp(1j * thetas)
-        bz, dz = B._value_and_derivative(pts)
-        if np.any(np.abs(bz) >= 1.0 - 1e-13):
-            raise BoundaryProximityError(f"|B| reaches the circle at radius {r}")
-        q = (1.0 - r * r) * np.abs(dz) / (1.0 - np.abs(bz) ** 2)
-        out.append((r, float(np.min(q))))
-    return out
+    rr = np.array(radii)[:, None]
+    bz, dz = B._value_and_derivative(rr * np.exp(1j * (2.0 * np.pi * np.arange(angles) / angles)))
+    bmod = np.abs(bz)
+    hit = np.any(bmod >= 1.0 - 1e-13, axis=1)
+    if hit.any():
+        raise BoundaryProximityError(f"|B| reaches the circle at radius {radii[int(np.argmax(hit))]}")
+    q = (1.0 - rr * rr) * np.abs(dz) / (1.0 - bmod ** 2)
+    return [(r, float(least)) for r, least in zip(radii, np.min(q, axis=1))]
 
 
 def default_valence_radius(B: FiniteBlaschkeProduct, w, fiber=None) -> float:

@@ -1,11 +1,12 @@
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from blaschkelab import FiniteBlaschkeProduct, random_product
+from blaschkelab import FiniteBlaschkeProduct, fatou_quotient, random_product
 from blaschkelab.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -372,6 +373,44 @@ class TestVerify:
         rc, out = run(["verify", "--suite", "converge", "--trials", "1", "--seed", "7"])
         assert rc == 1
         assert json.loads(out)["failure"]["reason"] == "convergence"
+
+    def test_converge_rotation_check_is_live(self, monkeypatch):
+        # a rotation constant turned by 1e-9 still passes the convergence checks (its
+        # drift stays under the rounding floor) but misses the boundary identity
+        # B(gamma0) conj(gamma0)/|B(gamma0)|
+        import blaschkelab.lab as lab
+
+        real = lab.rotation_constant
+        monkeypatch.setattr(lab, "rotation_constant", lambda B, g0: real(B, g0) * np.exp(1e-9j))
+        rc, out = run(["verify", "--suite", "converge", "--trials", "1", "--seed", "7"])
+        assert rc == 1
+        assert json.loads(out)["failure"]["reason"] == "rotation constant"
+
+    @staticmethod
+    def fatou_draw(seed):
+        """The first product of the fatou suite at seed and its 20 points, drawn one by one."""
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        B = random_product(rng, int(rng.integers(1, 11)), 0.9)
+        return B, np.array([0.97 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                            for _ in range(20)])
+
+    @pytest.mark.parametrize("seed", [7, 1])
+    def test_fatou_reports_the_first_failing_point_drawn(self, monkeypatch, seed):
+        import blaschkelab.cli as cli
+
+        B, zs = self.fatou_draw(seed)
+        q = fatou_quotient(B, zs)
+        # every point fails: the first drawn is reported
+        monkeypatch.setattr(cli, "FATOU_SLACK", -1.0)
+        ok, _, failure = cli._suite_fatou(1, np.random.default_rng(np.random.PCG64(seed)))
+        assert not ok and failure["reason"] == "Schwarz-Pick"
+        assert failure["z"] == [zs[0].real, zs[0].imag] and failure["q"] == q[0]
+        # the two largest quotients fail: the one drawn first is reported
+        third = np.sort(q)[-3]
+        monkeypatch.setattr(cli, "FATOU_SLACK", third - 1.0)
+        ok, _, failure = cli._suite_fatou(1, np.random.default_rng(np.random.PCG64(seed)))
+        i = int(np.flatnonzero(q > third)[0])
+        assert not ok and failure["z"] == [zs[i].real, zs[i].imag] and failure["q"] == q[i]
 
     def test_seed_changes_nothing_about_passing(self):
         rc1, out1 = run(["verify", "--suite", "hull", "--trials", "5", "--seed", "1"])

@@ -1,10 +1,12 @@
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
 
 from blaschkelab import (
+    BoundaryProximityError,
     ContourThroughFiberError,
     FiniteBlaschkeProduct,
     InvalidAnnulusError,
@@ -157,6 +159,19 @@ class TestConvergenceExperiment:
                     floor = 16.0 * np.finfo(float).eps / (1.0 - abs(rec.a))
                     assert sup - floor <= rec.sup_deviation <= sup
 
+    def test_sequences_longer_than_one_block(self):
+        # 96 points a term make blocks of 85 terms: 90 terms take two, and each record is
+        # its term's conjugate alone up to the rounding floor 16 eps/(1 - |a_k|)
+        B = FiniteBlaschkeProduct(np.exp(0.4j), (0.2 + 0.3j, -0.5j, 0.1))
+        spec = SequenceSpec(np.exp(0.7j), "spiral", 0.75, 90)
+        recs = convergence_experiment(B, spec, 0.9)
+        assert [r.k for r in recs] == list(range(1, 91))
+        pts = 0.9 * np.exp(1j * (2.0 * np.pi * np.arange(96) / 96))
+        rz = recs[0].rotation_constant * pts
+        for rec, term in zip(recs, spec.terms()):
+            alone = float(np.max(np.abs(lab._conjugates(B, [term], pts)[0] - rz)))
+            assert abs(rec.sup_deviation - alone) <= 16.0 * np.finfo(float).eps / (1.0 - abs(rec.a))
+
     @pytest.mark.parametrize("gamma0", [0, 0j, math.nan, math.inf, complex(math.inf, 1.0)])
     def test_rotation_constant_refuses_a_zero_or_non_finite_gamma0(self, gamma0):
         with pytest.raises(ValueError, match="nonzero finite"):
@@ -182,7 +197,7 @@ class TestCounterexample:
             r = 1 - rate ** k
             sign = (-1) ** k
             a = r * sign
-            vals = next(lab._conjugates(B, [(a, complex(sign))], pts, renormalize=False))
+            vals = lab._conjugates(B, [(a, complex(sign))], pts, renormalize=False)[0]
             if k % 2 == 0:
                 want = pts * (2 * r - (1 + r * r) * pts) / ((1 + r * r) - 2 * r * pts)
             else:
@@ -260,6 +275,25 @@ class TestConjugates:
                 worst = max(worst, float(np.max(np.abs(vals - exact) / (u * scale))))
         assert 0.0 < worst <= C
 
+    def test_rows_match_one_term_calls(self):
+        # a row of a call over many terms is that term's call alone, up to rounding: numpy
+        # may round an element by its place in the array (fused multiply-adds in its vector
+        # loops), so each of the two is within C u scale of the 40-digit value, C = 4 as above
+        u, C = 2.0 ** -53, 4.0
+        rng = np.random.default_rng(5)
+        pts = lab._polar_grid(0.9, 24)[::97]
+        for order, mode in ((1, "radial"), (4, "spiral"), (17, "alternating")):
+            B = random_product(rng, order, 0.9)
+            terms = SequenceSpec(np.exp(2j * np.pi * rng.uniform()), mode, 0.35, 28).terms()
+            for renormalize in (True, False):
+                rows = lab._conjugates(B, terms, pts, renormalize)
+                assert rows.shape == (28, pts.size)
+                for k in (0, 13, 27):
+                    alone = lab._conjugates(B, terms[k:k + 1], pts, renormalize)
+                    assert alone.shape == (1, pts.size)
+                    _, scale = self.composition(B, *terms[k], pts, renormalize)
+                    assert np.all(np.abs(rows[k] - alone[0]) <= 2.0 * C * u * scale)
+
     def test_raises_as_the_composition_did(self):
         # the first term that raises, and what: term 32 comes within POLE_TOL of the outer
         # map's pole, at rate 0.1 term 15's a is within 1e-15 of the circle, and on |z| <= 0.5
@@ -287,7 +321,7 @@ class TestConjugates:
         assert all(np.all(np.isfinite(v)) for v in lab._conjugates(B, terms, inside))
         for outside in (1.0 + 5e-10, 1.0 + 2e-9, 2j, np.nan):
             with pytest.raises(ValueError):
-                next(lab._conjugates(B, terms, np.array([0.3, outside])))
+                lab._conjugates(B, terms, np.array([0.3, outside]))
 
 
 class TestFatou:
@@ -325,6 +359,46 @@ class TestFatou:
         B = FiniteBlaschkeProduct.monomial(2)
         with pytest.raises(ValueError):
             fatou_limit_scan(B, [0.9, 0.5], 16)
+
+    def test_array_matches_scalar_calls(self):
+        # one vector pass against numpy scalars: the two round B apart by a few u per
+        # zero, and 1 - |B|^2 magnifies that by q/(1 - |B|^2)
+        u = 2.0 ** -53
+        rng = np.random.default_rng(9)
+        for order in (1, 2, 5, 9, 16):
+            B = random_product(rng, order, 0.9)
+            zs = 0.97 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+            q = fatou_quotient(B, zs)
+            assert isinstance(q, np.ndarray) and q.shape == zs.shape
+            scalar = np.array([fatou_quotient(B, complex(z)) for z in zs])
+            scale = scalar / (1.0 - np.abs(B.eval(zs)) ** 2)
+            assert np.all(np.abs(q - scalar) <= 16.0 * (1 + order) * u * scale)
+        assert fatou_quotient(B, [0.1, 0.2j]).shape == (2,)
+        assert isinstance(fatou_quotient(B, np.array(0.3j)), float)
+
+    @pytest.mark.parametrize("outside", [1.0, -1.5j, complex(0.6, 0.8), math.nan])
+    def test_array_refuses_a_point_outside(self, outside):
+        with pytest.raises(ValueError, match="interior points only"):
+            fatou_quotient(FiniteBlaschkeProduct.monomial(2), np.array([0.1, 0.5j, outside, 0.2]))
+
+    def test_quotient_at_the_circle_raises(self):
+        # B = z: |B| = |z| rounds to within 1e-13 of 1 at 1 - 1e-14, and is 1 - 1e-12 at
+        # 1 - 1e-12, where the quotient is still 1
+        B = FiniteBlaschkeProduct.monomial(1)
+        near = 1.0 - 1e-14
+        with pytest.raises(BoundaryProximityError):
+            fatou_quotient(B, near)
+        with pytest.raises(BoundaryProximityError):
+            fatou_quotient(B, np.array([0.5, 0.3j, near * 1j]))
+        assert fatou_quotient(B, 1.0 - 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert fatou_quotient(B, np.array([0.5, 1.0 - 1e-12])) == pytest.approx([1.0, 1.0], abs=1e-9)
+
+    def test_scan_names_the_first_radius_at_the_circle(self):
+        B = random_product(np.random.default_rng(44), 4, 0.7)
+        for radii, first in (([0.5, 1 - 1e-15], 1 - 1e-15), ([0.5, 0.9, 1 - 1e-14, 1 - 1e-15], 1 - 1e-14)):
+            with pytest.raises(BoundaryProximityError, match=re.escape(f"at radius {first}") + "$"):
+                fatou_limit_scan(B, radii, 64)
+        assert len(fatou_limit_scan(B, [0.5, 0.9], 64)) == 2
 
 
 class TestValence:
