@@ -11,7 +11,7 @@ gamma, without expanding any polynomial; the solver's module holds the one
 block size, _BLOCK, that evaluation here shares with it.  This module
 splits off the symbolic critical points of repeated zeros and checks what
 the root finder returns.  `critical_sets` finds the critical points of many
-products in shared Aberth runs, and `critical_points` is its one-product
+products in one Aberth run, and `critical_points` is its one-product
 case; `fiber_sets` does the same for fibers, one run per order, and
 `fiber_solve` is its one-product case.  Instances are immutable and all
 operations are pure.
@@ -278,24 +278,9 @@ class FiniteBlaschkeProduct:
     @cached_property
     def _distinct_zeros(self) -> tuple:
         """The distinct zeros u and their multiplicities m, as arrays (m in
-        floats, as the secular sum takes them).
-
-        Zeros within DISTINCT_ZERO_TOL, directly or by a chain, are one
-        repeated zero (`components`), so the multiplicities always sum to the
-        order.  It sits at h + mean(members - h), with the members in (re, im)
-        order and h the first of them: the same bits in any order of the
-        zeros, and an exact repeat's own bits.
-        """
-        a = np.array(self.zeros)
-        label = components(np.abs(a[:, None] - a) <= DISTINCT_ZERO_TOL)
-        head = label == np.arange(a.size)
-        u, m = a[head], np.bincount(label, minlength=a.size)[head].astype(float)
-        if len(u) < a.size:
-            for j, k in enumerate(np.flatnonzero(head)):
-                members = sorted(a[label == k].tolist(), key=lambda x: (x.real, x.imag))
-                shift = sum(x - members[0] for x in members) / len(members)
-                u[j] = members[0] + shift if shift else members[0]
-        return u, m
+        floats, as the secular sum takes them): the one-row case of
+        `_distinct_rows`."""
+        return _distinct_rows(np.array([self.zeros]))[0]
 
     def critical_points(self) -> CriticalSet:
         """All zeros of B', split into interior and exterior points: the one
@@ -377,28 +362,67 @@ def critical_sets(products) -> list:
     apart from a multiple root are merged, and a point whose error bound
     reaches the origin is exactly 0.
 
-    Products with the same g share one Aberth run, a row each, in chunks of
-    at most _BLOCK // g**2 rows so that the (roots x zeros) temporaries stay
-    the size of an evaluation block.  Every product is solved before any is
-    checked.  Raises NonConvergenceError, naming the products, when a root
-    is still moving after the sweep cap.
+    All products with g >= 2 share one Aberth run, a row each, the rows
+    with fewer distinct zeros than the widest padded with weight-0 copies
+    of one of their own (`critical_roots`).  The distinct zeros of the
+    products of one order are found in one pass (`_distinct_rows`).  Every
+    product is solved before any is checked.  Raises NonConvergenceError,
+    naming the products, when a root is still moving after the sweep cap.
     """
     products = list(products)
-    distinct = [B._distinct_zeros for B in products]
-    by_count: dict = {}
-    for i, (u, _) in enumerate(distinct):
-        if len(u) >= 2:
-            by_count.setdefault(len(u), []).append(i)
+    distinct = _distinct_sets(products)
+    rows = [i for i, (u, _) in enumerate(distinct) if len(u) >= 2]
     found: list = [[] for _ in products]
-    for g, members in by_count.items():
-        step = max(1, _BLOCK // g ** 2)
-        for start in range(0, len(members), step):
-            chunk = members[start:start + step]
-            u = np.array([distinct[i][0] for i in chunk])
-            m = np.array([distinct[i][1] for i in chunk])
-            for i, pts in zip(chunk, critical_roots(u, m, ("products", chunk))):
-                found[i] = pts
+    if rows:
+        for i, pts in zip(rows, critical_roots([distinct[i] for i in rows], ("products", rows))):
+            found[i] = pts
     return [_critical_set(B, u, m, pts) for B, (u, m), pts in zip(products, distinct, found)]
+
+
+def _distinct_sets(products) -> list:
+    """B._distinct_zeros of each product; those not yet found take one
+    `_distinct_rows` pass per order, and keep it."""
+    by_order: dict = {}
+    for B in products:
+        if "_distinct_zeros" not in vars(B):
+            by_order.setdefault(B.order, []).append(B)
+    for group in by_order.values():
+        for B, pair in zip(group, _distinct_rows(np.array([B.zeros for B in group]))):
+            vars(B)["_distinct_zeros"] = pair
+    return [B._distinct_zeros for B in products]
+
+
+def _distinct_rows(a) -> list:
+    """The distinct zeros u and their multiplicities m (in floats, as the
+    secular sum takes them) of each row of the (products x n) zeros a, an
+    array of the caller's own, which it makes read-only.
+
+    Zeros within DISTINCT_ZERO_TOL, directly or by a chain, are one
+    repeated zero (`components` over (products x n x n) links, in blocks of
+    at most _BLOCK entries), so the multiplicities always sum to the order.
+    It sits at h + mean(members - h), with the members in (re, im) order and
+    h the first of them: the same bits in any order of the zeros, and an
+    exact repeat's own bits.
+    """
+    n = a.shape[1]
+    step = max(1, _BLOCK // n ** 2)
+    blocks = [components(np.abs(a[i:i + step, :, None] - a[i:i + step, None, :]) <= DISTINCT_ZERO_TOL)
+              for i in range(0, len(a), step)]
+    labels = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    heads = labels == np.arange(n)
+    # rows of simple zeros are read-only views of a
+    m = np.ones(a.shape)
+    a.flags.writeable = m.flags.writeable = False
+    out = list(zip(a, m))
+    for r in [r for r, simple in enumerate(heads.all(axis=1).tolist()) if not simple]:
+        row, label, head = a[r], labels[r], heads[r]
+        u, m = row[head], np.bincount(label, minlength=n)[head].astype(float)
+        for j, k in enumerate(np.flatnonzero(head)):
+            members = sorted(row[label == k].tolist(), key=lambda x: (x.real, x.imag))
+            shift = sum(x - members[0] for x in members) / len(members)
+            u[j] = members[0] + shift if shift else members[0]
+        out[r] = u, m
+    return out
 
 
 def fiber_sets(products, targets) -> list:
@@ -472,11 +496,10 @@ def fiber_sets(products, targets) -> list:
 def _critical_set(B: FiniteBlaschkeProduct, u, m, found) -> CriticalSet:
     """B's CriticalSet from its distinct zeros u, multiplicities m and the
     interior zeros `found` of its secular sum, checked."""
-    interior: list = [(complex(x), int(k) - 1) for x, k in zip(u, m) if k >= 2]
-    for loc, mult in found:
+    for loc, _ in found:
         if abs(abs(loc) - 1.0) < CIRCLE_BAND:
             raise CircleStraddleError(f"critical point {loc} straddles the unit circle")
-        interior.append((loc, mult))
+    interior = [(x, int(k) - 1) for x, k in zip(u.tolist(), m.tolist()) if k >= 2] + found
     interior.sort(key=lambda cm: (cm[0].real, cm[0].imag))
     exterior = [(1.0 / p.conjugate(), k) for p, k in interior if p != 0]
     exterior.sort(key=lambda cm: (cm[0].real, cm[0].imag))

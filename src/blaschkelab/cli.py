@@ -9,6 +9,7 @@ they round-trip exactly.  Random products come from numpy's PCG64 generator.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -448,7 +449,9 @@ def _trial_count(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="blaschke-lab",
         description="Experiments on finite Blaschke products of the unit disc.",

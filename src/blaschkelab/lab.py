@@ -22,6 +22,7 @@ from a caller-supplied numpy Generator (PCG64 in the documented suites).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -457,12 +458,14 @@ def valence(B: FiniteBlaschkeProduct, w, radius: float, samples: int = 4096) -> 
     when the radius encloses the whole fiber.  A contour within rounding of a
     fiber point raises ContourThroughFiberError.  The winding integral is the
     sum of the arg increments over 2 pi, an integer up to its rounding.
+    `samples` must be an integer: any other number raises TypeError.
     """
     w = complex(w)
     if not abs(w) < 1.0:
         raise ValueError("target value must lie inside the disc")
     if not 0.0 < radius < 1.0:
         raise ValueError("contour radius must lie in (0, 1)")
+    samples = operator.index(samples)
     if samples < 16:
         raise ValueError("need at least 16 contour samples")
     integral = complex(_winding(B, w, radius, samples))
@@ -593,11 +596,11 @@ def random_product(rng: np.random.Generator, order: int, zero_radius: float = 0.
         raise ValueError("order must be positive")
     if not 0.0 < zero_radius < 1.0 - ZERO_MARGIN:
         raise ValueError("zero radius must lie in (0, 1)")
-    zeros = []
+    zeros, r2 = [], zero_radius * zero_radius
     while len(zeros) < order:
-        # as many pairs as zeros are missing: never past the pair that a pair-by-pair draw ends on
-        xy = rng.uniform(-zero_radius, zero_radius, size=(order - len(zeros), 2))
-        x, y = xy.T
-        zeros += xy.view(complex)[x * x + y * y <= zero_radius * zero_radius, 0].tolist()
+        # as many pairs as zeros are missing: never past the pair that a pair-by-pair draw ends on;
+        # a handful of pairs is tested on Python floats
+        xy = rng.uniform(-zero_radius, zero_radius, size=(order - len(zeros), 2)).tolist()
+        zeros += [complex(x, y) for x, y in xy if x * x + y * y <= r2]
     gamma = np.exp(2j * np.pi * rng.uniform())
     return FiniteBlaschkeProduct(gamma, tuple(zeros))

@@ -11,11 +11,13 @@ closer than that offset, where S vanishes between the two poles.  A fiber
 point starts next to its zero if that lies outside the Jensen circle of c,
 and otherwise on that circle where arg B meets arg c, found from the
 argument of B sampled along it.  One iteration solves many root sets side
-by side, a row of roots each: the critical points of many products with the
-same number of distinct zeros, or the fibers of many targets under products
-of one order, one product's zeros shared by all rows or a row of zeros per
-target.  The coupling between a row's roots, like every (points x zeros)
-pass, runs in blocks (_PASS_BLOCK, _BLOCK); the secular pass and the
+by side, a row of roots each: the critical points of many products, a row
+with fewer distinct zeros than the widest padded with weight-0 copies of
+one of its own, each holding an iterate fixed, or the fibers of many
+targets under products of one order, one product's zeros shared by all
+rows or a row of zeros per target.  The coupling between a row's roots,
+like every (points x zeros) pass, runs in blocks (_PASS_BLOCK, _BLOCK),
+each gathering its points' rows of zeros; the secular pass and the
 mirrored coupling take one complex division per entry, the fiber starts'
 sampling none.  Aberth closes on a double root only linearly, so a row's
 last pair, if it is still in that phase, moves once to the roots of its
@@ -36,8 +38,9 @@ from .errors import NonConvergenceError
 
 _EPS = np.finfo(float).eps
 # Elements per block: the points of an evaluation block in `blaschke`, the
-# (points x zeros) entries of a block of the fiber pass and of a chunk of
-# `critical_sets`, and the (roots x row) entries of the rounding links.  A
+# (points x zeros) entries of a block of the fiber pass, the (zeros x zeros)
+# links of a block of `critical_sets`' distinct zeros, and the (roots x row)
+# entries of the rounding links.  A
 # block's complex arrays (128 KB) stay in cache and below numpy's 256 KB
 # threshold for reusing temporaries in place, which can swap a complex
 # multiply's operands and so its last bit: evaluation writes x *= y for x * y.
@@ -54,22 +57,37 @@ _PASS_BLOCK = 4096
 _MAX_SWEEPS = 200
 
 
-def critical_roots(u: np.ndarray, m: np.ndarray, names) -> list:
+def critical_roots(distinct, names) -> list:
     """(point, multiplicity) for the interior zeros of S = B'/B, one list per
-    row of u.
+    product.
 
-    Each row of the (rows x g) array u holds the g >= 2 distinct zeros of one
-    product and the same row of m their multiplicities; the multiplicities
-    of a row's points sum to g - 1.  All rows share one Aberth run, and a
-    single row runs the arithmetic of a solve of its own.  Iterates that
-    rounding cannot tell apart from a multiple root are merged, and a point
-    whose error bound reaches the origin is exactly 0.  Raises
+    distinct holds one pair (u, m) per product: its g >= 2 distinct zeros u
+    and their multiplicities m, as arrays; the multiplicities of a
+    product's points sum to g - 1.  All products share one Aberth run, a row
+    each, padded to the widest row's G zeros: a row of g < G takes G - g
+    copies of its first zero at multiplicity 0, whose weight m (1-|u|^2) = 0
+    leaves S, S' and their rounding bound as they are, and holds one
+    iterate fixed on each copy (`_aberth`).  A copy adds its root u and the
+    reflection 1/conj(u) to N = S prod_k q_k d_k (`_critical_newton`), and
+    the fixed iterate adds the same two to the mirrored coupling, so the
+    two terms cancel and every correction is the unpadded one up to
+    rounding.  One product, or products with one g, take no padding, and a
+    single product runs the arithmetic of a solve of its own.  Iterates
+    that rounding cannot tell apart from a multiple root are merged, and a
+    point whose error bound reaches the origin is exactly 0.  Raises
     NonConvergenceError when a root is still moving after the sweep cap,
     naming row r as noun labels[r], names = (noun, labels).
     """
-    zeros = _secular_zeros(u, m)
-    found = _aberth(_critical_starts(u, m), lambda z, rows: _critical_newton(z, [x[rows] for x in zeros]), True,
-                    names)
+    size = [len(ur) for ur, _ in distinct]
+    u, m = np.empty((len(size), max(size)), dtype=complex), np.zeros((len(size), max(size)))
+    for row, (ur, mr) in enumerate(distinct):
+        u[row, len(ur):] = ur[0]
+        u[row, :len(ur)], m[row, :len(ur)] = ur, mr
+    # one row is indexed once, not gathered in every sweep
+    zeros = [x[0] for x in _secular_zeros(u, m)] if len(u) == 1 else _secular_zeros(u, m)
+    # a run of one g holds no iterate
+    found = _aberth(_critical_starts(u, m), lambda z, rows: _critical_newton(z, zeros, rows), True, names,
+                    None if min(size) == max(size) else np.array(size) - 1)
     return _merge_critical(found, u, m)
 
 
@@ -178,44 +196,52 @@ def _product_block(x, a, ac, t, gamma):
     return val, der, qlog
 
 
-def _aberth(z, newton, mirrored: bool, names) -> np.ndarray:
+def _aberth(z, newton, mirrored: bool, names, count=None) -> np.ndarray:
     """Simultaneous Aberth iteration for the roots of f from the (rows x n)
     starts z.
 
     Each row is a root set of its own (one product or one fiber target) and
-    couples only within itself.  Each sweep calls newton(z, rows) on the
+    couples only within itself.  Row r iterates its first count[r] roots
+    (all n without count); the others are fixed: never live, they enter the
+    coupling as they stand.  Each sweep calls newton(z, rows) on the
     live roots z of all rows, flattened, which returns (f/f', |f|, rounding
     bound of f).  A root stops, after taking that sweep's correction, once
     |f| is within its rounding bound, and stays in the coupling.  In the
     sweep in which a row's live roots are first down to one pair, that pair
-    is offered `_two_root_step` in place of its Aberth corrections.  After
-    _MAX_SWEEPS sweeps raises NonConvergenceError, naming each row r with a
-    root still moving as noun labels[r], names = (noun, labels).  With
-    `mirrored` the roots of f are the iterates together with their
-    reflections 1/conj(z): those enter the coupling without being iterated,
-    and an iterate that leaves the disc is replaced by its reflection.  The
-    coupling (`_pull`) then takes one division per (root x row) entry.
+    is offered `_two_root_step` in place of its Aberth corrections, unless
+    the row never iterated more than a pair.  After _MAX_SWEEPS sweeps
+    raises NonConvergenceError, naming each row r with a root still moving
+    as noun labels[r], names = (noun, labels).  With `mirrored` the roots of
+    f are the iterates together with their reflections 1/conj(z): those
+    enter the coupling without being iterated, and an iterate that leaves
+    the disc is replaced by its reflection.  The coupling (`_pull`) then
+    takes one division per (root x row) entry.
     """
     z = np.array(z, dtype=complex)
     flat, n = z.reshape(-1), z.shape[1]
-    live = np.arange(flat.size)
-    # rows whose last pair has been offered the two-root step
-    offered, counted = np.zeros(len(z), dtype=bool), live.size
+    # waiting: the rows not yet offered the two-root step, leaving out those never above a pair
+    if count is None:
+        live, waiting = np.arange(flat.size), set(range(len(z)) if n > 2 else ())
+    else:
+        live, waiting = np.flatnonzero(np.arange(n) < count[:, None]), set(np.flatnonzero(count > 2).tolist())
+    counted = total = live.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_SWEEPS):
             zl = flat[live]
             # each live root's row and column; one row is indexed, not gathered
             rows, cols = (0, live) if len(z) == 1 else np.divmod(live, n)
-            # the first live root of each row newly down to its last pair, so
-            # never a row of two roots; a single row gets there only once
+            # the first live root of each row newly down to its last pair;
+            # a single row's live roots are all there are
             pairs = []
-            if n > 2 and live.size != counted and 2 <= live.size <= 2 * len(z):
-                counted, pairs = live.size, [0]
-                if len(z) > 1:
+            if waiting and live.size != counted:
+                counted = live.size
+                if len(z) == 1:
+                    pairs = fresh = [0] if live.size == 2 else []
+                else:
                     r = live // n
-                    fresh = (np.bincount(r, minlength=len(z)) == 2) & ~offered
-                    offered |= fresh
-                    pairs = np.searchsorted(r, np.flatnonzero(fresh)).tolist()
+                    fresh = [i for i in np.flatnonzero(np.bincount(r, minlength=len(z)) == 2).tolist() if i in waiting]
+                    pairs = np.searchsorted(r, fresh).tolist() if fresh else []
+                waiting.difference_update(fresh)
             step, size, noise = newton(zl, rows)
             done = (size <= noise) & np.isfinite(noise)
             pull = _pull(z, zl, rows, cols, mirrored)
@@ -234,7 +260,7 @@ def _aberth(z, newton, mirrored: bool, names) -> np.ndarray:
             if live.size == 0:
                 return z
     moving = ", ".join(str(names[1][r]) for r in np.unique(live // n))
-    raise NonConvergenceError(f"{live.size} of {z.size} roots unresolved after {_MAX_SWEEPS} Aberth sweeps "
+    raise NonConvergenceError(f"{live.size} of {total} roots unresolved after {_MAX_SWEEPS} Aberth sweeps "
                               f"({names[0]} {moving})")
 
 
@@ -297,9 +323,10 @@ def _secular_zeros(u, m) -> tuple:
     return u, np.conj(u), m * (1.0 - np.abs(u) ** 2)
 
 
-def _secular(z, zeros):
+def _secular(z, zeros, rows=0):
     """(S, S', rounding bound of S, sum_k (P_k - R_k)) at the points z, with
-    zeros from `_secular_zeros`: one product's, or a row per point.
+    zeros from `_secular_zeros`: one product's, or a row per product with
+    rows the product of each point (one index for all).
 
     S = B'/B = sum_k T_k over the distinct zeros u_k of multiplicity m_k,
     T_k = m_k (1-|u_k|^2) inv_k, inv_k = 1/(q_k d_k), q_k = 1 - conj(u_k) z,
@@ -308,14 +335,22 @@ def _secular(z, zeros):
     at least (1-|u_k|)^2 in modulus.  The bound, 4 eps (sum_k |T_k| + |z|
     sum_k |T_k'|), covers a few u of rounding per summand and that of z; the
     error against a 40-digit S stayed within 0.27 of it (README).  Blocks of
-    _PASS_BLOCK entries change no bit: rows are independent.
+    _PASS_BLOCK entries, each gathering its points' rows of zeros, change
+    no bit: rows are independent.
     """
+    if zeros[0].ndim == 2 and not isinstance(rows, np.ndarray):
+        zeros = [x[rows] for x in zeros]
     step = max(1, _PASS_BLOCK // zeros[0].shape[-1])
-    if z.size > step:
-        parts = [_secular(z[i:i + step], [x if x.ndim == 1 else x[i:i + step] for x in zeros])
-                 for i in range(0, z.size, step)]
-        return tuple(np.concatenate(x) for x in zip(*parts))
-    u, uc, weight = zeros
+    if z.size <= step:
+        return _secular_block(z, *(zeros if zeros[0].ndim == 1 else [x[rows] for x in zeros]))
+    parts = [_secular_block(z[i:i + step], *(zeros if zeros[0].ndim == 1 else [x[rows[i:i + step]] for x in zeros]))
+             for i in range(0, z.size, step)]
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _secular_block(z, u, uc, weight):
+    """`_secular` at the points z as one block, with the zeros of each
+    point's row, or one product's."""
     # four (points x zeros) arrays, reused in place
     q = np.subtract(1.0, uc * z[:, None])
     d = np.subtract(z[:, None], u)
@@ -330,23 +365,22 @@ def _secular(z, zeros):
     return t.sum(axis=1), dt.sum(axis=1), noise, logs
 
 
-def _critical_newton(z, zeros):
-    """(N/N', |S|, rounding bound of S) at the points z, with zeros from
-    `_secular_zeros`.
+def _critical_newton(z, zeros, rows=0):
+    """(N/N', |S|, rounding bound of S) at the points z, with zeros and rows
+    as `_secular` takes them.
 
     N = S prod_k (1 - conj(u_k) z)(z - u_k) is the polynomial whose roots are
     the critical points that S accounts for, so N'/N = S'/S - sum_k d log T_k.
     """
-    s, ds, noise, logs = _secular(z, zeros)
+    s, ds, noise, logs = _secular(z, zeros, rows)
     return s / (ds - s * logs), np.abs(s), noise
 
 
-def _next_to(points: np.ndarray) -> np.ndarray:
-    """Starts 1e-3 off the given points (along the last axis), at distinct
-    angles, so that coincident or nearly coincident points give distinct
-    starts."""
-    n = points.shape[-1]
-    return points + 1e-3 * np.exp(2j * np.pi * np.arange(n) / n)
+def _next_to(points: np.ndarray, n) -> np.ndarray:
+    """Starts 1e-3 off the given points, the k-th along the last axis at the
+    angle 2 pi k/n (n broadcast against the other axes), so that coincident
+    or nearly coincident points give distinct starts."""
+    return points + 1e-3 * np.exp(2j * np.pi * np.arange(points.shape[-1]) / n)
 
 
 def _critical_starts(u: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -354,22 +388,28 @@ def _critical_starts(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     multiplicities m: next to the row's distinct zeros, in order of modulus
     and all but the first.  A zero u_k within the 1e-3 offset of an earlier
     one starts at the nearest such u_j's weighted point
-    (m_j u_k + m_k u_j)/(m_j + m_k), where S vanishes between close poles."""
-    pick = np.arange(len(u))[:, None], np.argsort(np.abs(u), axis=1, kind="stable")
-    u, m = u[pick], m[pick]
-    mods = np.abs(u)
-    starts, gap = _next_to(u[:, 1:]), np.full((len(u), u.shape[1] - 1), 1e-3)
+    (m_j u_k + m_k u_j)/(m_j + m_k), where S vanishes between close poles.
+    A row's columns of multiplicity 0 (its padding, `critical_roots`) come
+    last and start on their own zero, where `_aberth` holds them."""
+    # padding is nan here: it sorts after every zero in modulus and is near none
+    real = m > 0
+    points = np.where(real, u, np.nan)
+    mods = np.abs(points)
+    pick = np.arange(len(u))[:, None], np.argsort(mods, axis=1, kind="stable")
+    u, m, points, mods = u[pick], m[pick], points[pick], mods[pick]
+    starts = _next_to(points[:, 1:], real.sum(axis=1, keepdims=True) - 1)
+    gap = np.full(starts.shape, 1e-3)
     # a zero within 1e-3 of an earlier one lies within 1e-3 in modulus of it
     # and of each zero between them in this order
     for off in range(1, u.shape[1]):
         if not (mods[:, off:] - mods[:, :-off] < 1e-3).any():
             break
-        dist = np.abs(u[:, off:] - u[:, :-off])
+        dist = np.abs(points[:, off:] - points[:, :-off])
         near = dist < gap[:, off - 1:]
         uk, mk, uj, mj = u[:, off:][near], m[:, off:][near], u[:, :-off][near], m[:, :-off][near]
         gap[:, off - 1:][near] = dist[near]
         starts[:, off - 1:][near] = (mj * uk + mk * uj) / (mj + mk)
-    return starts
+    return np.where(m[:, 1:] > 0, starts, u[:, 1:])
 
 
 def _fiber_starts(a: np.ndarray, gamma, c: np.ndarray) -> np.ndarray:
@@ -405,7 +445,7 @@ def _fiber_starts(a: np.ndarray, gamma, c: np.ndarray) -> np.ndarray:
     if on.size:
         own = (a, gamma) if a.ndim == 1 else (a[on], gamma[on])
         angles[on] = _circle_angles(*own, c[on], k[on], r[on])
-    return np.where(j < k, r * np.exp(1j * angles), _next_to(a))
+    return np.where(j < k, r * np.exp(1j * angles), _next_to(a, n))
 
 
 def _circle_angles(a, gamma, c, k, r) -> np.ndarray:
@@ -500,13 +540,15 @@ def _links(z, radius) -> np.ndarray:
     noise/|f'| of q and its neighbours on that ring within 2 pi noise/|f'|.
     Roots closer than 8 times the sum of their radii are linked: two simple
     roots that close have |f| <= 4 noise at their midpoint, as near a double
-    root.  Rows are linked in blocks of at most _BLOCK (roots x row) entries.
+    root.  An entry of z that is nan links only itself.  Rows are linked in
+    blocks of at most _BLOCK (roots x row) entries.
     """
-    labels = np.empty(z.shape, dtype=int)
-    step = max(1, _BLOCK // z.shape[1] ** 2)
+    labels, n = np.empty(z.shape, dtype=int), z.shape[1]
+    step, own = max(1, _BLOCK // n ** 2), np.arange(n)
     for i in range(0, len(z), step):
         zb, rb = z[i:i + step], radius[i:i + step]
         near = np.abs(zb[:, :, None] - zb[:, None, :]) <= 8.0 * (rb[:, :, None] + rb[:, None, :])
+        near[:, own, own] = True
         labels[i:i + step] = components(near)
     return labels
 
@@ -514,29 +556,45 @@ def _links(z, radius) -> np.ndarray:
 def _merge_critical(z, u, m) -> list:
     """(point, multiplicity) for the converged interior iterates z, one list
     per row of the (rows x n) array z; the same rows of u and m hold the
-    distinct zeros and multiplicities.
+    distinct zeros and multiplicities, with a row's padding at multiplicity
+    0 (`critical_roots`): its own iterates are its first g - 1, g its
+    count of nonzero multiplicities; the rest are held on its padding.
 
     The iterates of one group (`_links`) are one multiple point at their
     centroid, which rounding perturbs far less than the members.  A
     point whose error bound (noise/|S'| for a simple one, the spread of a
     group) reaches the origin is reported as exactly 0, and all such points
-    as one.
+    as one.  Rows whose iterates link only to themselves take that rule as
+    arrays; the others, one at a time.
     """
     rows, n = z.shape
-    # one row is indexed, not repeated, as in _aberth: a single product
+    # a row's zeros after its first, up to its padding
+    own = m[:, 1:n + 1] > 0
+    zo = z[own]
+    # one row is indexed, not gathered, as in _aberth: a single product
     # rounds exactly as a solve of its own
-    zeros = [x[0] if rows == 1 else np.repeat(x, n, axis=0) for x in _secular_zeros(u, m)]
-    _, ds, noise, _ = _secular(z.reshape(-1), zeros)
-    ds, noise = ds.reshape(z.shape), noise.reshape(z.shape)
+    _, ds, noise, _ = _secular(zo, _secular_zeros(u, m), 0 if rows == 1 else own.nonzero()[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         err = noise / np.abs(ds)
-    labels = _links(z, _radius(noise, ds))
+    # the `_radius` of each own iterate
+    radius = np.zeros(z.shape)
+    radius[own] = np.where(np.isfinite(err), err, 0.0)
+    labels = _links(np.where(own, z, np.nan), radius)
+    # the test of a Python complex: abs() is the hypot of its parts
+    snapped = np.where(np.hypot(zo.real, zo.imag) <= err, 0j, zo).tolist()
+    zo, err, end = zo.tolist(), err.tolist(), 0
     found = []
-    for r, (row, zr, er) in enumerate(zip(labels.tolist(), z.tolist(), err.tolist())):
+    for r, (grouped, size) in enumerate(zip((labels != np.arange(n)).any(axis=1).tolist(), own.sum(axis=1).tolist())):
+        start, end = end, end + size
+        if not grouped:
+            points = snapped[start:end]
+            zero = points.count(0j)
+            found.append([(p, 1) for p in points if p != 0j] + ([(0j, zero)] if zero else []))
+            continue
         groups: dict = {}
-        for i, head in enumerate(row):
+        for i, head in enumerate(labels[r, :size].tolist()):
             groups.setdefault(head, []).append(i)
-        out: dict = {}
+        zr, er, out = zo[start:end], err[start:end], {}
         for idx in groups.values():
             if len(idx) == 1:
                 loc, bound = zr[idx[0]], er[idx[0]]

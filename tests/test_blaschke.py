@@ -818,21 +818,24 @@ class TestCriticalSets:
     def test_empty(self):
         assert critical_sets([]) == []
 
-    def test_order_64_batch_is_split_into_chunks(self, monkeypatch):
-        rows = []
-        solve = blaschke.critical_roots
+    def test_order_64_batch_keeps_its_memory_bound(self):
+        # the five products run as one batch, its (roots x zeros) passes in
+        # blocks; solved in chunks of at most _BLOCK // 64**2 = 2 products
+        # per run, the batch peaked at 740 KB
+        def batch():
+            rng = np.random.default_rng(64)
+            return [random_product(rng, 64, 0.9) for _ in range(5)]
 
-        def counted(u, m, names):
-            rows.append(len(u))
-            return solve(u, m, names)
-
-        rng = np.random.default_rng(64)
-        products = [random_product(rng, 64, 0.9) for _ in range(5)]
-        want = [B.critical_points() for B in products]
-        monkeypatch.setattr(blaschke, "critical_roots", counted)
-        got = critical_sets(products)
-        # at most _BLOCK // 64**2 = 2 products per run
-        assert rows == [2, 2, 1]
+        want = [B.critical_points() for B in batch()]
+        products = batch()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = critical_sets(products)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 740e3
         for cs, ref in zip(got, want):
             assert_same_critical_set(cs, ref)
 
@@ -842,6 +845,101 @@ class TestCriticalSets:
         monkeypatch.setattr(polyroots, "_MAX_SWEEPS", 1)
         with pytest.raises(NonConvergenceError, match=r"unresolved after 1 Aberth sweeps \(products 1, 2\)"):
             critical_sets(products)
+
+    def test_padded_run_names_the_stuck_product(self, monkeypatch):
+        # one run of rows with 6, 3, 3 and 8 distinct zeros, padded to 8; only
+        # product 3's row (a repeated zero's) never stops, and the count of
+        # roots leaves out the padding
+        rng = np.random.default_rng(4)
+        products = [FiniteBlaschkeProduct(1.0, (0.3,)), random_product(rng, 6, 0.9), random_product(rng, 3, 0.9),
+                    FiniteBlaschkeProduct(1.0, (0.5, 0.5, 0.5, -0.3j, -0.3j, 0.2)), random_product(rng, 8, 0.9)]
+        newton = polyroots._critical_newton
+
+        def stuck(z, zeros, rows=0):
+            step, size, noise = newton(z, zeros, rows)
+            return step, size, np.where(np.equal(rows, 2), -1.0, noise)
+
+        monkeypatch.setattr(polyroots, "_critical_newton", stuck)
+        with pytest.raises(NonConvergenceError, match=r"^2 of 16 roots unresolved after 200 Aberth sweeps "
+                                                      r"\(products 3\)$"):
+            critical_sets(products)
+
+    def test_rows_take_the_two_root_step_as_in_their_own_runs(self, monkeypatch):
+        # the rows offered the step in one padded run of orders 2-8 are those
+        # whose own run offers it; a row of two roots never is, though it
+        # sits in a run of wider rows
+        rng = np.random.default_rng(5)
+        products = [random_product(rng, int(k), 0.9) for k in rng.integers(2, 9, size=40)]
+        seen = {}
+        pull, two_root_step = polyroots._pull, polyroots._two_root_step
+
+        def rows_of(z, zl, rows, *rest):
+            seen["rows"] = np.broadcast_to(rows, zl.shape)
+            return pull(z, zl, rows, *rest)
+
+        def offered(pairs, *rest):
+            seen["offered"] += seen["rows"][pairs].tolist()
+            return two_root_step(pairs, *rest)
+
+        def offered_rows(batch):
+            seen["offered"] = []
+            critical_sets(batch)
+            return sorted(seen["offered"])
+
+        monkeypatch.setattr(polyroots, "_pull", rows_of)
+        monkeypatch.setattr(polyroots, "_two_root_step", offered)
+        own = [i for i, B in enumerate(products) if offered_rows([FiniteBlaschkeProduct(B.gamma, B.zeros)])]
+        assert len(own) >= 3 and all(products[i].order > 3 for i in own)
+        assert sum(B.order == 3 for B in products) >= 5
+        assert offered_rows(products) == own
+
+    @pytest.mark.parametrize("seed", [7, 1])
+    def test_hull_draws_match_per_product_calls(self, seed):
+        # a hull suite's products in one padded run: each keeps its own
+        # call's multiplicities, interior points within 4 eps; an exterior
+        # point 1/conj(p) moves by |q|^2 times as much as p
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        products = [random_product(rng, int(rng.integers(2, 9)), 0.9) for _ in range(200)]
+        eps = np.finfo(float).eps
+        for B, cs in zip(products, critical_sets(products)):
+            want = FiniteBlaschkeProduct(B.gamma, B.zeros).critical_points()
+            assert [m for _, m in cs.interior] == [m for _, m in want.interior]
+            assert [m for _, m in cs.exterior] == [m for _, m in want.exterior]
+            assert all(abs(p - q) <= 4 * eps for (p, _), (q, _) in zip(cs.interior, want.interior))
+            assert all(abs(p - q) <= 4 * eps * abs(q) * (abs(q) + 1.0)
+                       for (p, _), (q, _) in zip(cs.exterior, want.exterior))
+
+    def test_batched_distinct_zeros_are_the_one_product_ones(self):
+        # repeated zeros, chains of zeros within DISTINCT_ZERO_TOL of the
+        # next, and simple zeros, in one pass over the products of each
+        # order (five of order 64 take three blocks of links): the bits of
+        # each product's own pass and of the per-product loop written out here
+        def one_product(zeros):
+            a = np.array(zeros)
+            label = components(np.abs(a[:, None] - a) <= blaschke.DISTINCT_ZERO_TOL)
+            head = label == np.arange(a.size)
+            u, m = a[head], np.bincount(label, minlength=a.size)[head].astype(float)
+            if len(u) < a.size:
+                for j, k in enumerate(np.flatnonzero(head)):
+                    members = sorted(a[label == k].tolist(), key=lambda x: (x.real, x.imag))
+                    shift = sum(x - members[0] for x in members) / len(members)
+                    u[j] = members[0] + shift if shift else members[0]
+            return u, m
+
+        rng = np.random.default_rng(29)
+        zeros = [tuple(rand_disc(rng, 0.9) for _ in range(6)) for _ in range(12)]
+        zeros += [(0.5, 0.5, 0.5, -0.3j, -0.3j, 0.2), (0j,) * 6,
+                  (0.3, 0.3 + 0.9e-12, 0.3 + 1.8e-12, -0.4, 0.1j, 0.1j),
+                  (0.3 + 1.8e-12, 0.1j, 0.3, -0.4, 0.3 + 0.9e-12, 0.1j + 0.5e-12),
+                  (0.2, 0.2 + 2e-12, 0.6, 0.6, 0.6, 0.6)]
+        zeros += [tuple(rand_disc(rng, 0.9) for _ in range(n)) for n in (1, 2, 64) for _ in range(3)]
+        zeros += [(0.7,) * 64, (0.1, 0.1 + 1e-13) * 32]
+        products = [FiniteBlaschkeProduct(1.0, z) for z in zeros]
+        batched = blaschke._distinct_sets(products)
+        for B, (u, m) in zip(products, batched):
+            for got in ((u, m), FiniteBlaschkeProduct(1.0, B.zeros)._distinct_zeros):
+                for x, y in zip(got, one_product(B.zeros)):
+                    assert x.dtype == y.dtype and np.array_equal(x.view(float), y.view(float))
 
 
 class TestProductTerms:
@@ -964,7 +1062,7 @@ class TestAberthKernels:
         rows = np.repeat(disc_array(rng, 5 * 64, 0.9).reshape(5, 64), 63, axis=0)
         zeros = polyroots._secular_zeros(rows, np.ones(rows.shape))
         z = disc_array(rng, len(rows), 0.95)
-        for got, want in zip(polyroots._secular(z, zeros), self.one_pass(z, *zeros)):
+        for got, want in zip(polyroots._secular(z, zeros, np.arange(len(rows))), self.one_pass(z, *zeros)):
             assert same_bits(got, want)
 
     @pytest.mark.parametrize("order", [2, 3, 8, 32, 128])

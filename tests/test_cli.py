@@ -294,6 +294,21 @@ class TestVerify:
         rc, _ = run(["verify", "--suite", "everything"])
         assert rc == EXIT_USAGE
 
+    def test_one_parser_serves_a_usage_error_and_then_a_good_call(self, capsys):
+        # the parser is built once per process; a failed parse leaves
+        # nothing behind for the next call to see
+        import blaschkelab.cli as cli
+
+        rc, out = run(["verify", "--suite", "hull", "--trials", "0"])
+        assert rc == EXIT_USAGE and out == ""
+        assert "must be at least 1" in capsys.readouterr().err
+        rc, out = run(["verify", "--suite", "hull", "--trials", "3", "--seed", "5"])
+        summary = json.loads(out)
+        assert rc == EXIT_OK and summary["pass"] is True and (summary["seed"], summary["trials"]) == (5, 3)
+        rc, out = run(["verify", "--suite", "hull", "--trials", "3"])
+        assert rc == EXIT_OK and json.loads(out)["seed"] == 7
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("suite", ["hull", "converge", "separation"])
     @pytest.mark.parametrize("trials", ["-3", "0"])
     def test_trials_below_one_usage_error(self, suite, trials):
@@ -302,20 +317,28 @@ class TestVerify:
         assert out == ""
 
     def test_hull_solves_each_seed_in_one_batch(self, monkeypatch):
+        # one critical_sets call per seed, and in it one Aberth run for the
+        # products of all orders (2-8)
+        import blaschkelab.blaschke as blaschke
         import blaschkelab.cli as cli
 
-        calls = []
-        real = cli.critical_sets
+        calls, runs = [], []
+        real, solve = cli.critical_sets, blaschke.critical_roots
 
         def counted(products):
             calls.append(len(products))
             return real(products)
 
+        def counted_runs(distinct, names):
+            runs.append(len(distinct))
+            return solve(distinct, names)
+
         monkeypatch.setattr(cli, "critical_sets", counted)
+        monkeypatch.setattr(blaschke, "critical_roots", counted_runs)
         for seed in ("7", "1"):
             rc, _ = run(["verify", "--suite", "hull", "--seed", seed])
             assert rc == EXIT_OK
-        assert calls == [200, 200]
+        assert calls == [200, 200] and runs == [200, 200]
 
     @pytest.mark.parametrize("suite,products", [("separation", 21), ("valence", 20)])
     def test_fibers_of_each_seed_in_one_batch(self, monkeypatch, suite, products):

@@ -262,14 +262,14 @@ def sweeps_of_first_run(monkeypatch, call):
     runs = []
     aberth = polyroots._aberth
 
-    def counting(z, newton, mirrored, names):
+    def counting(z, newton, *rest):
         runs.append(0)
 
         def counted(zl, rows):
             runs[-1] += 1
             return newton(zl, rows)
 
-        return aberth(z, counted, mirrored, names)
+        return aberth(z, counted, *rest)
 
     monkeypatch.setattr(polyroots, "_aberth", counting)
     call()

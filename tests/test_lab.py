@@ -469,6 +469,13 @@ class TestValence:
         with pytest.raises(ContourThroughFiberError):
             valence(B, 0.0, 1e-100)
 
+    def test_samples_must_be_an_integer(self):
+        # 16.5 arcs would be counted on 17 unequal ones
+        B = random_product(np.random.default_rng(79), 3, 0.8)
+        with pytest.raises(TypeError):
+            valence(B, 0.1, 0.9, 16.5)
+        assert valence(B, 0.1, 0.9, np.int64(16)).valence == valence(B, 0.1, 0.9, 16).valence
+
     @pytest.mark.xfail(raises=ContourThroughFiberError, strict=True,
                        reason="the rounding bound of _winding is absolute, and |B| = r^8 "
                               "falls below it although B is evaluated to full relative accuracy")
@@ -749,6 +756,26 @@ class TestRandomProduct:
             for order, zero_radius in zip(range(1, 21), (0.3, 0.6, 0.9, 0.99) * 5):
                 assert random_product(batched, order, zero_radius) == pair_by_pair(looped, order, zero_radius)
                 assert batched.bit_generator.state == looped.bit_generator.state
+
+    def test_matches_the_array_form(self):
+        # the disc test on Python floats keeps the bits of the same test on
+        # numpy arrays, drawing the same pairs in the same order
+        def array_form(rng, order, zero_radius):
+            zeros = []
+            while len(zeros) < order:
+                xy = rng.uniform(-zero_radius, zero_radius, size=(order - len(zeros), 2))
+                x, y = xy.T
+                zeros += xy.view(complex)[x * x + y * y <= zero_radius * zero_radius, 0].tolist()
+            return FiniteBlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), tuple(zeros))
+
+        for seed in range(20):
+            for order in range(1, 17):
+                for zero_radius in (0.5, 0.7, 0.9, 0.95, 0.99):
+                    ours, theirs = np.random.default_rng([seed, order]), np.random.default_rng([seed, order])
+                    got, want = random_product(ours, order, zero_radius), array_form(theirs, order, zero_radius)
+                    assert got == want and np.array_equal(np.array(got.zeros).view(float),
+                                                          np.array(want.zeros).view(float))
+                    assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_zero_radius_respected(self):
         B = random_product(np.random.default_rng(6), 12, 0.35)
