@@ -462,9 +462,11 @@ def fiber_sets(products, targets) -> list:
             B = products[members[0]]
             w = fiber_roots(np.array(B.zeros), B.gamma, c, B._distinct_zeros, FIBER_EVAL_TOL, names)
         else:
+            # the distinct zeros of the run's products in one pass, repeated per target
+            distinct = [d for i, d in zip(members, _distinct_sets([products[i] for i in members])) for _ in todo[i]]
             owners = [products[i] for i, _ in rows]
             w = fiber_roots(np.array([B.zeros for B in owners]), np.array([B.gamma for B in owners]), c,
-                            [B._distinct_zeros for B in owners], FIBER_EVAL_TOL, names)
+                            distinct, FIBER_EVAL_TOL, names)
         # a product's rows are consecutive, in the order of its targets
         end = 0
         for i in members:

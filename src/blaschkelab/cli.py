@@ -22,7 +22,7 @@ from .errors import (
     ContourThroughFiberError,
     NonConvergenceError,
 )
-from .hyperbolic import geodesic_point, hull_contains, hyperbolic_convex_hull
+from .hyperbolic import _contains_rows, _hull_rows, geodesic_point, hull_contains, hyperbolic_convex_hull
 from .lab import (
     COUNTEREXAMPLE_RATE,
     _separation_scan,
@@ -242,32 +242,48 @@ def _serialize_product(B: FiniteBlaschkeProduct) -> dict:
     }
 
 
+def _rows(lists, fill=None) -> np.ndarray:
+    """The lists as the rows of one array, each padded to the longest with
+    fill, or with copies of its own first entry."""
+    width = max(map(len, lists))
+    return np.array([list(r) + [r[0] if fill is None else fill] * (width - len(r)) for r in lists])
+
+
 def _suite_hull(trials: int, rng):
-    # all products are drawn, then solved in one batch, then checked in order
+    # all products are drawn, then solved in one batch, then checked in array
+    # passes over all of them, of which the first to fail in draw order is reported
     products = [random_product(rng, int(rng.integers(2, 9)), 0.9) for _ in range(trials)]
-    checked = 0
-    for B, cs in zip(products, critical_sets(products)):
-        hull = hyperbolic_convex_hull(B.zeros)
-        if sum(m for _, m in cs.interior) != B.order - 1:
-            return False, {"checked": checked}, {"reason": "interior count", **_serialize_product(B)}
-        interior_pts = [p for p, m in cs.interior for _ in range(m)]
-        for p, m in cs.interior:
-            checked += m
-            if not hull_contains(hull, p, HULL_TOL):
-                return False, {"checked": checked}, {
-                    "reason": "hull containment",
-                    "critical_point": [p.real, p.imag],
-                    **_serialize_product(B),
-                }
-        for e, m in cs.exterior:
-            refl = 1.0 / np.conj(e)
-            if min(abs(refl - p) for p in interior_pts) > REFLECTION_TOL:
-                return False, {"checked": checked}, {
-                    "reason": "reflection pairing",
-                    "exterior_point": [e.real, e.imag],
-                    **_serialize_product(B),
-                }
-    return True, {"interior_points_checked": checked}, None
+    sets = critical_sets(products)
+    points = _rows([[p for p, _ in cs.interior] for cs in sets], 0j)
+    mult = _rows([[m for _, m in cs.interior] for cs in sets], 0)
+    outer = _rows([[e for e, _ in cs.exterior] for cs in sets], 1.0 + 0j)
+    counted = mult.sum(axis=1)
+    short = counted != np.array([B.order - 1 for B in products])
+    outside = (mult > 0) & ~_contains_rows(_hull_rows(_rows([B.zeros for B in products])), points, HULL_TOL)
+    gap = np.abs(1.0 / np.conj(outer)[:, :, None] - points[:, None, :])
+    gap = np.where(mult[:, None, :] > 0, gap, np.inf).min(axis=2, initial=np.inf)
+    unpaired = (np.arange(outer.shape[1]) < np.array([[len(cs.exterior)] for cs in sets])) & (gap > REFLECTION_TOL)
+    failed = short | outside.any(axis=1) | unpaired.any(axis=1)
+    if not failed.any():
+        return True, {"interior_points_checked": int(counted.sum())}, None
+    k = int(np.argmax(failed))
+    B, cs, checked = products[k], sets[k], int(counted[:k].sum())
+    if short[k]:
+        return False, {"checked": checked}, {"reason": "interior count", **_serialize_product(B)}
+    if outside[k].any():
+        j = int(np.argmax(outside[k]))
+        p = cs.interior[j][0]
+        return False, {"checked": checked + int(mult[k, :j + 1].sum())}, {
+            "reason": "hull containment",
+            "critical_point": [p.real, p.imag],
+            **_serialize_product(B),
+        }
+    e = cs.exterior[int(np.argmax(unpaired[k]))][0]
+    return False, {"checked": checked + int(counted[k])}, {
+        "reason": "reflection pairing",
+        "exterior_point": [e.real, e.imag],
+        **_serialize_product(B),
+    }
 
 
 def _suite_converge(trials: int, rng):

@@ -33,21 +33,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import components
+from ._util import _BLOCK, components
 from .errors import NonConvergenceError
 
 _EPS = np.finfo(float).eps
-# Elements per block: the points of an evaluation block in `blaschke`, the
-# (points x zeros) entries of a block of the fiber pass, the (zeros x zeros)
-# links of a block of `critical_sets`' distinct zeros, and the (roots x row)
-# entries of the rounding links.  A
-# block's complex arrays (128 KB) stay in cache and below numpy's 256 KB
-# threshold for reusing temporaries in place, which can swap a complex
-# multiply's operands and so its last bit: evaluation writes x *= y for x * y.
-# The fiber pass's three temporaries keep this size: over 12 alternated runs
-# of 32 targets on a shared 2-vCPU machine, blocks of 4,096 took 112 against
-# 131 ms at order 128 but lost 10 of 12 pairs at order 64 and 9 of 12 at 16.
-_BLOCK = 8192
 # Entries per block of the passes that hold four or more complex temporaries
 # at once: the secular pass, the Aberth coupling and the fiber starts'
 # sampling.  Order-128 critical points took 4.3-4.9 ms in blocks of 4,096

@@ -1330,6 +1330,47 @@ class TestFiberSets:
                            match=r"\(targets 1 of product 0, 2 of product 0, 0 of product 2\)$"):
             fiber_sets(products, [np.array([0.0, 0.3, 0.5j]), 0.2, 0.4])
 
+    @pytest.mark.parametrize("spoil,expected", [
+        # {(product, target): (how, point of the sorted fiber)}: what the first
+        # failing product in input order raises, escape before re-evaluation
+        ({(2, 1): ("defect", 1), (4, 0): ("escape", 0)}, (2, 1, "defect")),
+        ({(3, 2): ("defect", 0), (3, 1): ("escape", 3), (4, 2): ("defect", 2)}, (3, 1, "escape")),
+        ({(1, 0): ("defect", 0), (1, 2): ("big defect", 2), (2, 2): ("escape", 1)}, (1, 2, "big defect")),
+        ({(0, 1): ("defect", 2), (1, 1): ("escape", 1)}, (0, 1, "defect")),
+        ({(4, 2): ("escape", 1), (0, 0): ("escape", 0)}, (0, 0, "escape")),
+        ({(4, 1): ("defect", 3)}, (4, 1, "defect")),
+    ])
+    def test_checks_name_the_first_failing_product(self, monkeypatch, spoil, expected):
+        # product 0 has the order-3 run to itself; products 1-4 share the
+        # order-4 run, product 2 with a target 0 that takes the shortcut
+        rng = np.random.default_rng(8)
+        products = [random_product(rng, 3, 0.9)] + [random_product(rng, 4, 0.9) for _ in range(4)]
+        targets = [np.array([0.3, -0.2j, 0.5 + 0.1j]) for _ in products]
+        targets[2] = np.array([0.0, 0.3, -0.2j, 0.5 + 0.1j])
+        fibers = fiber_sets(products, targets)
+        solve, spoiled = blaschke.fiber_roots, {}
+
+        def spoiling(a, gamma, c, distinct, tol, names):
+            w = solve(a, gamma, c, distinct, tol, names)
+            for row, label in enumerate(names[1]):
+                t, i = label.split()[::3]  # "t of product i"
+                key = int(i), int(t)
+                if key in spoil:
+                    how, j = spoil[key]
+                    point = fibers[key[0]][key[1]][j]
+                    k = int(np.flatnonzero(w[row] == point)[0])
+                    w[row, k] = {"escape": 1.0 + 0j, "defect": point + 1e-4, "big defect": point + 1e-3}[how]
+                    spoiled[key] = complex(w[row, k])
+            return w
+
+        monkeypatch.setattr(blaschke, "fiber_roots", spoiling)
+        i, t, how = expected
+        what = "escaped the open disc" if how == "escape" else "fails re-evaluation"
+        with pytest.raises(NonConvergenceError) as info:
+            fiber_sets(products, targets)
+        assert len(spoiled) == len(spoil)
+        assert str(info.value) == f"fiber point {spoiled[i, t]} of {np.complex128(targets[i][t])} {what}"
+
     def test_rejects_a_bad_target_or_a_missing_one(self):
         B = FiniteBlaschkeProduct(1.0, (0.5, -0.3j))
         with pytest.raises(ValueError):

@@ -435,6 +435,61 @@ class TestVerify:
         i = int(np.flatnonzero(q > third)[0])
         assert not ok and failure["z"] == [zs[i].real, zs[i].imag] and failure["q"] == q[i]
 
+    @pytest.mark.parametrize("breaks,expected", [
+        # {product: what is broken}: the first failing product in draw order is reported
+        ({57: "outside", 120: "unpaired"}, (57, "hull containment")),
+        ({31: "unpaired", 140: "outside"}, (31, "reflection pairing")),
+        ({12: "short", 90: "outside"}, (12, "interior count")),
+        ({88: "outside unpaired", 150: "short"}, (88, "hull containment")),
+        ({120: "unpaired", 150: "short"}, (120, "reflection pairing")),
+        ({150: "short", 190: "unpaired"}, (150, "interior count")),
+    ])
+    def test_hull_failure_matches_the_check_of_one_product_at_a_time(self, monkeypatch, breaks, expected):
+        import blaschkelab.cli as cli
+        from blaschkelab.hyperbolic import klein_to_poincare
+
+        drawn = {}
+        real = cli.critical_sets
+
+        def broken(products):
+            sets = real(products)
+            for k, what in breaks.items():
+                B, cs = products[k], sets[k]
+                interior, exterior = list(cs.interior), list(cs.exterior)
+                if "outside" in what:
+                    # the last interior point 2 HULL_TOL (Klein distance) right of the
+                    # hull's first ccw edge, or off its segment; of three or more, the
+                    # first takes the multiplicity of the second, so the count holds
+                    kv = cli.hyperbolic_convex_hull(B.zeros).klein_vertices
+                    a, b = kv[0], kv[1]
+                    out = klein_to_poincare(0.5 * (a + b) + 2.0 * cli.HULL_TOL * (b - a) * -1j / abs(b - a))
+                    assert not cli.hull_contains(cli.hyperbolic_convex_hull(B.zeros), out, cli.HULL_TOL)
+                    if len(interior) >= 3:
+                        interior = [(interior[0][0], 1 + interior[1][1])] + interior[2:]
+                    interior[-1] = (out, interior[-1][1])
+                if "unpaired" in what:
+                    exterior[-1] = (exterior[-1][0] * (1.0 + 1e-6), exterior[-1][1])
+                if what == "short":
+                    interior = interior[1:]
+                sets[k] = dataclasses.replace(cs, interior=tuple(interior), exterior=tuple(exterior))
+            drawn.update(products=products, sets=sets)
+            return sets
+
+        monkeypatch.setattr(cli, "critical_sets", broken)
+        rc, out = run(["verify", "--suite", "hull", "--seed", "7"])
+        summary = json.loads(out)
+        assert rc == 1 and summary["pass"] is False
+        products, sets = drawn["products"], drawn["sets"]
+        details, failure = one_product_at_a_time(products, sets)
+        assert (summary["details"], summary["failure"]) == (details, failure)
+        k, reason = expected
+        assert failure["reason"] == reason
+        assert failure["zeros"] == [[z.real, z.imag] for z in products[k].zeros]
+        before = sum(products[i].order - 1 for i in range(k))
+        ms = [m for _, m in sets[k].interior]
+        assert details["checked"] == before + {"hull containment": sum(ms), "reflection pairing": sum(ms),
+                                               "interior count": 0}[reason]
+
     def test_seed_changes_nothing_about_passing(self):
         rc1, out1 = run(["verify", "--suite", "hull", "--trials", "5", "--seed", "1"])
         rc2, out2 = run(["verify", "--suite", "hull", "--trials", "5", "--seed", "2"])
@@ -442,6 +497,32 @@ class TestVerify:
         assert json.loads(out1)["pass"] and json.loads(out2)["pass"]
         rc3, out3 = run(["verify", "--suite", "hull", "--trials", "5", "--seed", "1"])
         assert out3 == out1
+
+
+def one_product_at_a_time(products, sets):
+    """The hull suite's (details, failure) by the checks of one product at a
+    time: the one-set hull and membership, and the reflections, in order."""
+    from blaschkelab.cli import HULL_TOL, REFLECTION_TOL
+    from blaschkelab.hyperbolic import hull_contains, hyperbolic_convex_hull
+
+    def product(B):
+        return {"gamma": [B.gamma.real, B.gamma.imag], "zeros": [[z.real, z.imag] for z in B.zeros]}
+
+    checked = 0
+    for B, cs in zip(products, sets):
+        hull = hyperbolic_convex_hull(B.zeros)
+        if sum(m for _, m in cs.interior) != B.order - 1:
+            return {"checked": checked}, {"reason": "interior count", **product(B)}
+        for p, m in cs.interior:
+            checked += m
+            if not hull_contains(hull, p, HULL_TOL):
+                return {"checked": checked}, {"reason": "hull containment", "critical_point": [p.real, p.imag],
+                                              **product(B)}
+        for e, _ in cs.exterior:
+            if min(abs(1.0 / np.conj(e) - p) for p, _ in cs.interior) > REFLECTION_TOL:
+                return {"checked": checked}, {"reason": "reflection pairing", "exterior_point": [e.real, e.imag],
+                                              **product(B)}
+    return {"interior_points_checked": checked}, None
 
 
 def test_console_entry_point_runs():

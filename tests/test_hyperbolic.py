@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blaschkelab.hyperbolic import CROSS_TOL, DEDUP_TOL, _contains_rows, _hull_rows
 from blaschkelab import (
     DiscAutomorphism,
     automorphism_eval,
@@ -49,6 +50,18 @@ class TestGeodesicPoint:
             z1, z2 = rand_disc(rng), rand_disc(rng)
             for t in np.linspace(0, 1, 11):
                 assert abs(geodesic_point(z1, z2, t)) < 1.0
+
+    @pytest.mark.parametrize("t", [2.0, -0.5, 1.0 + 1e-12, float("inf")])
+    def test_parameter_outside_the_segment_raises(self, t):
+        # t = 2 gave -1.196, a point outside the disc and off the segment
+        with pytest.raises(ValueError, match="not in"):
+            geodesic_point(0.3, -0.3, t)
+
+    @pytest.mark.parametrize("z1,z2", [(1.0, -0.3), (0.2, -1.0j), (0.6 + 0.8j, 0.0), (1.5, 0.1)])
+    def test_endpoint_off_the_open_disc_raises(self, z1, z2):
+        # an endpoint on the circle came back as 1+0j
+        with pytest.raises(ValueError, match="inside the unit disc"):
+            geodesic_point(z1, z2, 0.5)
 
 
 class TestCollinearity:
@@ -210,3 +223,118 @@ class TestHullContains:
                 z1, z2 = vs[i], vs[(i + 1) % len(vs)]
                 for t in np.linspace(0, 1, 9):
                     assert hull_contains(h, geodesic_point(z1, z2, t), 1e-9)
+
+
+def as_rows(sets):
+    """The point sets as the rows of one array, each padded with copies of its first point."""
+    width = max(map(len, sets))
+    return np.array([list(s) + [s[0]] * (width - len(s)) for s in sets], dtype=complex)
+
+
+def degenerate_sets():
+    z1, z2 = 0.4 + 0.2j, -0.3 + 0.5j
+    on_line = [geodesic_point(z1, z2, t) for t in (0.0, 0.2, 0.5, 0.9, 1.0)]
+    # Klein images a hair off one chord, well within CROSS_TOL of it
+    near_line = [klein_to_poincare(poincare_to_klein(p) + 0.1 * CROSS_TOL * 1j) for p in on_line[1:4]]
+    return [
+        [0.2 + 0.1j],
+        [0.5, -0.5],
+        [0.0, 0.3, 0.6],
+        [0.5, 0.5, -0.5],
+        [0.3, 0.3 + 0.8e-12, 0.3 + 1.6e-12],
+        [0.1j, 0.1j, 0.1j, 0.1j],
+        [-0.2, 0.4j, -0.2, 0.4j, -0.2],
+        [0.6, 0.6 + 0.5 * DEDUP_TOL, 0.6 + DEDUP_TOL, -0.4j, 0.5j, -0.4j + 0.3 * DEDUP_TOL],
+        on_line,
+        on_line[::-1],
+        [on_line[0], on_line[-1]] + near_line,
+        [0.5, -0.5, 0.5j, 0.0, 0.1 + 0.1j, 0.5, 0.5j],
+    ]
+
+
+def random_sets(seed, count):
+    rng = np.random.default_rng(seed)
+    return [[rand_disc(rng, 0.95) for _ in range(k)] for k in rng.integers(1, 33, count)]
+
+
+def probes(hull, tol):
+    """Vertices, edge midpoints, interior points, and points 0.5 tol and 2 tol
+    outside the hull (Klein distance) off its edges and beyond its vertices,
+    all in the Poincare disc."""
+    kv = hull.klein_vertices
+    centre = sum(kv) / len(kv)
+    pts = list(hull.poincare_vertices) + [klein_to_poincare(0.5 * (centre + k)) for k in kv]
+    for a, b in zip(kv, kv[1:] + kv[:1]):
+        # outward: right of a ccw edge, either side of a segment, any way off a point
+        out = (b - a) * -1j if b != a else 1.0
+        # beyond a vertex: away from the centre, along a segment past its ends
+        away = a - centre if a != centre else 1.0
+        mid = 0.5 * (a + b)
+        pts.append(klein_to_poincare(mid))
+        for step in (0.5, 2.0):
+            pts += [klein_to_poincare(mid + step * tol * out / abs(out)),
+                    klein_to_poincare(a + step * tol * away / abs(away))]
+    return pts
+
+
+class TestHullRows:
+    """The row-wise hull and membership against the one-set functions they batch."""
+
+    def check_hulls(self, sets):
+        idx, count, x, y = _hull_rows(as_rows(sets))
+        for r, pts in enumerate(sets):
+            want = hyperbolic_convex_hull(pts)
+            got = tuple(complex(pts[i]) for i in idx[r, :count[r]])
+            assert got == want.poincare_vertices
+            assert tuple(complex(a, b) for a, b in zip(x[r, :count[r]], y[r, :count[r]])) == want.klein_vertices
+            assert {1: "point", 2: "segment"}.get(int(count[r]), "polygon") == want.degenerate_kind
+            # the columns after the hull repeat its first vertex
+            assert (idx[r, count[r]:] == idx[r, 0]).all() and (x[r, count[r]:] == x[r, 0]).all()
+
+    def test_random_sets_of_1_to_32_points(self):
+        self.check_hulls(random_sets(3, 150))
+
+    def test_degenerate_sets_in_one_batch(self):
+        sets = degenerate_sets()
+        self.check_hulls(sets)
+        kinds = [hyperbolic_convex_hull(s).degenerate_kind for s in sets]
+        assert kinds.count("point") == 3 and kinds.count("segment") >= 5 and "polygon" in kinds
+
+    def test_degenerate_and_random_sets_together(self):
+        self.check_hulls(degenerate_sets() + random_sets(4, 40))
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-8])
+    def test_membership_matches_hull_contains(self, tol):
+        sets = degenerate_sets() + random_sets(5, 60)
+        rng = np.random.default_rng(6)
+        hulls = [hyperbolic_convex_hull(s) for s in sets]
+        points = [probes(h, 1e-8) + [rand_disc(rng, 0.95) for _ in range(10)] for h in hulls]
+        got = _contains_rows(_hull_rows(as_rows(sets)), as_rows(points), tol)
+        verdicts = []
+        for r, (h, pts) in enumerate(zip(hulls, points)):
+            want = [hull_contains(h, p, tol) for p in pts]
+            assert got[r, :len(pts)].tolist() == want
+            verdicts += want
+        # both verdicts are exercised, at the vertices and off the edges alike
+        assert 0.2 < np.mean(verdicts) < 0.9
+
+    def test_points_just_outside_by_their_klein_distance(self):
+        # a triangle, a segment and a point, probed 0.5 and 2 tol out
+        sets = [[0.5, -0.5, 0.5j], [0.5, -0.5], [0.2 + 0.1j]]
+        tol = 1e-8
+        # below the real axis, off the segment's midpoint 0, and right of the point
+        points = [[klein_to_poincare(-s * tol * 1j) for s in (0.5, 2.0)],
+                  [klein_to_poincare(s * tol * 1j) for s in (0.5, 2.0)],
+                  [klein_to_poincare(poincare_to_klein(0.2 + 0.1j) + s * tol) for s in (0.5, 2.0)]]
+        got = _contains_rows(_hull_rows(as_rows(sets)), as_rows(points), tol)
+        assert got.tolist() == [[True, False]] * 3
+        assert not _contains_rows(_hull_rows(as_rows(sets)), as_rows(points), 0.0).any()
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="inside"):
+            _hull_rows(np.array([[0.1, 1.0]]))
+        hulls = _hull_rows(np.array([[0.1, 0.2j]]))
+        with pytest.raises(ValueError, match="inside"):
+            _contains_rows(hulls, np.array([[0.1, 1.0]]), 1e-8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            _contains_rows(hulls, np.array([[0.1]]), float("nan"))
