@@ -1,4 +1,4 @@
-"""Small shared helpers: scalar/array polymorphic evaluation, point grouping and the block size of array passes."""
+"""Small shared helpers: scalar/array polymorphic evaluation, point grouping, and array passes in blocks."""
 
 from __future__ import annotations
 
@@ -30,6 +30,16 @@ def coerce_points(z):
 
 def uncoerce(out, scalar):
     return complex(out) if scalar else out
+
+
+def _blocked(size, step, block):
+    """block(i, j) over the consecutive ranges [i, j) of size entries, step
+    at a time, its arrays (or tuples of them) joined; one range returns
+    block(0, size) as it is, with no copy."""
+    if size <= step:
+        return block(0, size)
+    parts = [block(i, min(i + step, size)) for i in range(0, size, step)]
+    return tuple(np.concatenate(x) for x in zip(*parts)) if isinstance(parts[0], tuple) else np.concatenate(parts)
 
 
 def components(links) -> np.ndarray:

@@ -7,8 +7,8 @@ multiplied out in place over a common denominator for each chunk of _CHUNK
 zeros, operands in the order of the formulas (numpy's complex multiply is
 not commutative bit for bit), and divided in once per chunk, on blocks.
 Critical points and fibers are found by `polyroots` from the zeros and
-gamma, without expanding any polynomial; the solver's module holds the one
-block size, _BLOCK, that evaluation here shares with it.  This module
+gamma, without expanding any polynomial; `_util` holds the one block size,
+_BLOCK, that evaluation here shares with the solver.  This module
 splits off the symbolic critical points of repeated zeros and checks what
 the root finder returns.  `critical_sets` finds the critical points of many
 products in one Aberth run, and `critical_points` is its one-product
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from ._util import coerce_points, components, uncoerce
+from ._util import _BLOCK, _blocked, coerce_points, components, uncoerce
 from .errors import (
     CircleStraddleError,
     NonConvergenceError,
@@ -38,7 +38,7 @@ from .errors import (
     ZeroProximityError,
 )
 from .moebius import POLE_TOL, DiscAutomorphism, automorphism_eval, automorphism_inverse
-from .polyroots import _BLOCK, critical_roots, fiber_roots
+from .polyroots import critical_roots, fiber_roots
 
 ZERO_MARGIN = 1e-12
 ZERO_TOL = 1e-12
@@ -102,8 +102,8 @@ def _by_blocks(body):
     return walk
 
 
-def _chunk_factors(zeros, sizes) -> dict:
-    """{size: runs of size zeros (of size/2 if a zero lies past 1 - 6e-6)} for each of sizes, each run
+def _chunk_factors(zeros, size) -> list:
+    """Runs of size zeros (of size/2 if a zero lies past 1 - 6e-6), each run
     (s, factors).  From _SMALL up a zero gives (z_k, r_k, None, d_k, C d_k): pole factor r_k - z,
     r_k = 1/conj(z_k), d_k = -t_k/conj(z_k), t_k = 1 - |z_k|^2; below (z_k, None, c_k, -t_k, C d_k):
     1 - c_k z, c_k = conj(z_k).  s = 1/C, C the product of the run's conj(z_k) of r_k - z.  A zero is a
@@ -113,13 +113,22 @@ def _chunk_factors(zeros, sizes) -> dict:
     mods = np.hypot(zs.real, zs.imag).reshape(len(zs), -1)  # abs() of a Python complex, a row per zero
     f = [(z, 1.0 / z.conjugate(), None, (abs(z) ** 2 - 1.0) / z.conjugate()) if low >= _SMALL
          else (z, None, z.conjugate(), abs(z) ** 2 - 1.0) for z, low in zip(zeros, mods.min(axis=1).tolist())]
-    near = mods.max() > 1.0 - 6e-6
-    runs = {size: [] for size in sizes}
-    for size, m in ((size, (size + 1) // 2 if near else size) for size in sizes):
-        for run in (f[i:i + m] for i in range(0, len(f), m)):
-            C = math.prod(z.conjugate() for z, r, _, _ in run if r is not None)
-            runs[size].append((1.0 / C, tuple(x + (C * x[3],) for x in run)))
+    m, runs = (size + 1) // 2 if mods.max() > 1.0 - 6e-6 else size, []
+    for run in (f[i:i + m] for i in range(0, len(f), m)):
+        C = math.prod(z.conjugate() for z, r, _, _ in run if r is not None)
+        runs.append((1.0 / C, tuple(x + (C * x[3],) for x in run)))
     return runs
+
+
+class _Lazy(dict):
+    """A dict that builds a missing key's value as build(key), and keeps it."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = self.build(key)
+        return self[key]
 
 
 def _product(gamma, runs, zz: np.ndarray) -> np.ndarray:
@@ -185,8 +194,8 @@ class FiniteBlaschkeProduct:
 
     @cached_property
     def _chunks(self) -> dict:
-        """{1: runs of one zero, _CHUNK: runs of _CHUNK} (`_chunk_factors`)."""
-        return _chunk_factors(self.zeros, (1, _CHUNK))
+        """{size: `_chunk_factors` runs}, each size built at first use (1 beyond _FAR)."""
+        return _Lazy(partial(_chunk_factors, self.zeros))
 
     def _check_poles(self, zz: np.ndarray) -> None:
         # Zeros satisfy |z_k| < 1 - ZERO_MARGIN, so on the closed disc
@@ -405,10 +414,8 @@ def _distinct_rows(a) -> list:
     exact repeat's own bits.
     """
     n = a.shape[1]
-    step = max(1, _BLOCK // n ** 2)
-    blocks = [components(np.abs(a[i:i + step, :, None] - a[i:i + step, None, :]) <= DISTINCT_ZERO_TOL)
-              for i in range(0, len(a), step)]
-    labels = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    labels = _blocked(len(a), max(1, _BLOCK // n ** 2),
+                      lambda i, j: components(np.abs(a[i:j, :, None] - a[i:j, None, :]) <= DISTINCT_ZERO_TOL))
     heads = labels == np.arange(n)
     # rows of simple zeros are read-only views of a
     m = np.ones(a.shape)
@@ -481,12 +488,13 @@ def fiber_sets(products, targets) -> list:
                 fibers[todo[i]] = solved
         if todo[i]:
             escaped = ~(np.abs(fibers) < 1.0)
-            if escaped.any():
+            if np.count_nonzero(escaped):
                 t, k = np.argwhere(escaped)[0]
                 raise NonConvergenceError(f"fiber point {complex(fibers[t, k])} of {cs[t]} escaped the open disc")
-            defect = np.abs(B.eval(fibers) - cs[:, None])
+            # finite points inside the disc: none near a pole, so eval's checks would pass
+            defect = np.abs(B._eval(fibers) - cs[:, None])
             bad = defect > FIBER_EVAL_TOL * (1.0 + np.abs(cs[:, None]))
-            if bad.any():
+            if np.count_nonzero(bad):
                 t, k = np.unravel_index(np.argmax(np.where(bad, defect, -1.0)), bad.shape)
                 raise NonConvergenceError(f"fiber point {complex(fibers[t, k])} of {cs[t]} fails re-evaluation")
         # a stable sort of complex numbers orders them by (re, im), as sorted() by that key

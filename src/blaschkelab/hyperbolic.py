@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _BLOCK, components
+from ._util import _BLOCK, _blocked, components
 
 CROSS_TOL = 1e-12
 DEDUP_TOL = 1e-12
@@ -237,8 +237,7 @@ def _hull_rows(z):
     def near(b):
         return np.abs((b[:, :, None] - b[:, None, :]) / (1.0 - np.conj(b)[:, :, None] * b[:, None, :])) <= DEDUP_TOL
     # the (sets x n x n) links in blocks of at most _BLOCK entries
-    step = max(1, _BLOCK // n ** 2)
-    keep = np.concatenate([components(near(z[i:i + step])) for i in range(0, sets, step)]) == np.arange(n)
+    keep = _blocked(sets, max(1, _BLOCK // n ** 2), lambda i, j: components(near(z[i:j]))) == np.arange(n)
     # each row's kept points by (re, im), ties in row order, then the others
     order = np.lexsort((y, x, ~keep))
     every = np.arange(sets)[:, None]

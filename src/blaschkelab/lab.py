@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._util import coerce_points
+from ._util import _BLOCK, _blocked, coerce_points
 from .blaschke import _CHUNK, ZERO_MARGIN, FiniteBlaschkeProduct, _chunk_factors, _product, critical_sets
 from .errors import (
     ContourThroughFiberError,
@@ -39,7 +39,6 @@ from .errors import (
 )
 from .hyperbolic import collinearity_residual, hull_contains, hyperbolic_convex_hull
 from .moebius import DOMAIN_SLACK, INTERIOR_MARGIN, POLE_TOL, DiscAutomorphism
-from .polyroots import _BLOCK
 
 GOLDEN_FRAC = 0.6180339887498949
 MATCH_TOL = 1e-7
@@ -228,7 +227,7 @@ def _conjugates(B: FiniteBlaschkeProduct, terms, pts, renormalize=True) -> np.nd
         if np.any(np.abs(1.0 - np.conj(b[k, j]) * flat) < POLE_TOL):
             first(np.arange(len(terms)) == k)
             raise PoleProximityError(f"evaluation point too close to the pole 1/conj({complex(b[k, j])})")
-    P = _product(1.0, _chunk_factors(list(w.T[:, :, None]), (_CHUNK,))[_CHUNK], flat)
+    P = _product(1.0, _chunk_factors(list(w.T[:, :, None]), _CHUNK), flat)
     # With m < 1 and every |w_j| < 1, |P| <= 1, and P rounds to relative u (sum_j (20 + 10/q_j)
     # + 28 chunks) <= eps, q_j = 1 - |w_j| m, as `_noise` models `_eval`: a row rounds as one
     # product, in either factor form and with at most order chunks.  Then |B o T| = |P| > 1 +
@@ -277,11 +276,10 @@ def convergence_experiment(
         raise ValueError("compact radius r must lie in (0, 0.95]")
     rot = rotation_constant(B, seq.gamma0)
     pts = r * np.exp(1j * (2.0 * np.pi * np.arange(96) / 96))
-    rz, terms, step = rot * pts, seq.terms(), _BLOCK // pts.size
-    devs = [np.max(np.abs(_conjugates(B, terms[i:i + step], pts) - rz), axis=1)
-            for i in range(0, len(terms), step)]
-    return [ConvergenceRecord(k, a, g, float(dev), rot)
-            for k, ((a, g), dev) in enumerate(zip(terms, np.concatenate(devs)), start=1)]
+    rz, terms = rot * pts, seq.terms()
+    devs = _blocked(len(terms), _BLOCK // pts.size,
+                    lambda i, j: np.max(np.abs(_conjugates(B, terms[i:j], pts) - rz), axis=1))
+    return [ConvergenceRecord(k, a, g, float(dev), rot) for k, ((a, g), dev) in enumerate(zip(terms, devs), start=1)]
 
 
 def counterexample_run(count: int) -> CounterexampleResult:

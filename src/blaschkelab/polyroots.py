@@ -5,38 +5,36 @@ cost O(order) per point and never expand a polynomial: critical points are
 the zeros of the secular sum S = B'/B over the distinct zeros (only the
 interior ones are iterated; their reflections 1/conj(w) enter the coupling),
 and the fiber of c is the root set of Q (B - c), Q = prod_k (1 - conj(a_k) w),
-with B, B' and Q'/Q from one pass over (points x zeros) blocks of the zeros
-and gamma.  Critical points start next to the zeros, or between two zeros
-closer than that offset, where S vanishes between the two poles.  A fiber
-point starts next to its zero if that lies outside the Jensen circle of c,
-and otherwise on that circle where arg B meets arg c, found from the
-argument of B sampled along it.  One iteration solves many root sets side
-by side, a row of roots each: the critical points of many products, a row
-with fewer distinct zeros than the widest padded with weight-0 copies of
-one of its own, each holding an iterate fixed, or the fibers of many
-targets under products of one order, one product's zeros shared by all
-rows or a row of zeros per target.  The coupling between a row's roots,
-like every (points x zeros) pass, runs in blocks (_PASS_BLOCK, _BLOCK),
-each gathering its points' rows of zeros; the secular pass and the
-mirrored coupling take one complex division per entry, the fiber starts'
-sampling none.  Aberth closes on a double root only linearly, so a row's
-last pair, if it is still in that phase, moves once to the roots of its
-local quadratic factor (`_two_root_step`).  A root stops once its residual
-is within the rounding bound of its evaluation, and roots that rounding
-cannot tell apart are merged into one multiple root, row by row.  A run
-that gives up raises NonConvergenceError naming the rows still moving by
-the labels its caller passed in.  The module works on plain arrays;
-`critical_roots` and `fiber_roots` are its only entry points.
+whose Newton step takes B, B' and Q'/Q from one pass over (points x zeros)
+blocks.  Critical points start next to the zeros, or between two zeros
+closer than that offset; a fiber point next to its zero if that lies outside
+the Jensen circle of c, else on that circle where arg B meets arg c.  One
+iteration solves many root sets side by side, a row of roots each: the
+critical points of many products (a row with fewer distinct zeros than the
+widest padded with weight-0 copies of one of its own, each holding an
+iterate fixed), or the fibers of many targets under products of one order.
+The coupling, like every (points x zeros) pass, runs in blocks (_PASS_BLOCK,
+_BLOCK), each gathering its points' rows of zeros; one block is returned as
+it is, so a small solve pays for arithmetic, not for assembling blocks.
+Aberth closes on a double root only linearly, so a row's last pair, if it
+is still in that phase, moves once to the roots of its local quadratic
+factor (`_two_root_step`).  A root stops once its residual is within the
+rounding bound of its evaluation, and roots that rounding cannot tell apart
+are merged into one multiple root, row by row.  A run that gives up raises
+NonConvergenceError naming the rows still moving by the labels its caller
+passed in.  `critical_roots` and `fiber_roots` are the only entry points.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from ._util import _BLOCK, components
+from ._util import _BLOCK, _blocked, components
 from .errors import NonConvergenceError
 
-_EPS = np.finfo(float).eps
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # Entries per block of the passes that hold four or more complex temporaries
 # at once: the secular pass, the Aberth coupling and the fiber starts'
 # sampling.  Order-128 critical points took 4.3-4.9 ms in blocks of 4,096
@@ -51,19 +49,13 @@ def critical_roots(distinct, names) -> list:
     product.
 
     distinct holds one pair (u, m) per product: its g >= 2 distinct zeros u
-    and their multiplicities m, as arrays; the multiplicities of a
-    product's points sum to g - 1.  All products share one Aberth run, a row
-    each, padded to the widest row's G zeros: a row of g < G takes G - g
-    copies of its first zero at multiplicity 0, whose weight m (1-|u|^2) = 0
-    leaves S, S' and their rounding bound as they are, and holds one
-    iterate fixed on each copy (`_aberth`).  A copy adds its root u and the
-    reflection 1/conj(u) to N = S prod_k q_k d_k (`_critical_newton`), and
-    the fixed iterate adds the same two to the mirrored coupling, so the
-    two terms cancel and every correction is the unpadded one up to
-    rounding.  One product, or products with one g, take no padding, and a
-    single product runs the arithmetic of a solve of its own.  Iterates
-    that rounding cannot tell apart from a multiple root are merged, and a
-    point whose error bound reaches the origin is exactly 0.  Raises
+    and their multiplicities m, as arrays.  All products share one Aberth
+    run, a row each, padded to the widest row's G zeros: a row of g < G
+    takes G - g copies of its first zero at multiplicity 0, whose weight
+    m (1-|u|^2) = 0 leaves S, S' and their rounding bound as they are, each
+    holding one iterate fixed (`_aberth`), whose coupling cancels the roots
+    u and 1/conj(u) the copy adds to N (`_critical_newton`).  A run of one
+    g, one product's too, skips all padding work.  Raises
     NonConvergenceError when a root is still moving after the sweep cap,
     naming row r as noun labels[r], names = (noun, labels).
     """
@@ -72,12 +64,11 @@ def critical_roots(distinct, names) -> list:
     for row, (ur, mr) in enumerate(distinct):
         u[row, len(ur):] = ur[0]
         u[row, :len(ur)], m[row, :len(ur)] = ur, mr
-    # one row is indexed once, not gathered in every sweep
-    zeros = [x[0] for x in _secular_zeros(u, m)] if len(u) == 1 else _secular_zeros(u, m)
-    # a run of one g holds no iterate
-    found = _aberth(_critical_starts(u, m), lambda z, rows: _critical_newton(z, zeros, rows), True, names,
-                    None if min(size) == max(size) else np.array(size) - 1)
-    return _merge_critical(found, u, m)
+    # a run of one g holds no padding; one row is indexed once, not gathered in every sweep
+    count = None if min(size) == max(size) else np.array(size) - 1
+    zeros = _secular_zeros(*distinct[0]) if len(u) == 1 else _secular_zeros(u, m)
+    found = _aberth(_critical_starts(u, m), lambda z, rows: _critical_newton(z, zeros, rows), True, names, count)
+    return _merge_critical(found, zeros, count)
 
 
 def fiber_roots(a: np.ndarray, gamma, c: np.ndarray, distinct, tol: float, names) -> np.ndarray:
@@ -85,41 +76,36 @@ def fiber_roots(a: np.ndarray, gamma, c: np.ndarray, distinct, tol: float, names
     array c, multiplicities expanded, unsorted: a (targets x n) array.
 
     B = gamma prod_k (a_k - w)/(1 - conj(a_k) w) over the n zeros a with
-    repeats; distinct = (u, m) holds the distinct zeros and their
-    multiplicities as arrays.  These are one product's (a of shape (n,)), or
-    a row per target (a of shape (targets x n), gamma one per target and
-    distinct a list of pairs), so that the fibers of many products of one
-    order share a run.  All targets share one Aberth run from
-    `_fiber_starts`, and each sweep takes B, B' and Q'/Q of all live roots
-    from one blocked pass (`_product_terms`).  A group of one target's
-    iterates that rounding cannot tell apart moves onto the multiple root
-    under it (`_merge_fiber`): a repeated zero for a target next to 0,
-    otherwise a critical point, where each iterate lies within the reach by
+    repeats; distinct = (u, m) holds the distinct zeros and multiplicities.
+    These are one product's (a of shape (n,)), or a row per target (a of
+    shape (targets x n), gamma one per target and distinct a list of pairs).
+    All targets share one Aberth run from `_fiber_starts`, and each sweep's
+    Newton step is one blocked pass over its live roots (`_product_terms`).
+    A group of one target's iterates that rounding cannot tell apart moves
+    onto the multiple root under it (`_merge_fiber`), within the reach by
     which a double root splits at re-evaluation tolerance tol.  Raises
     NonConvergenceError when a root is still moving after the sweep cap,
     naming target t as noun labels[t], names = (noun, labels).
     """
     absc, n = np.abs(c), a.shape[-1]
-    # per-run constants: the zeros as `_product_terms` takes them, and the
-    # floor of the stopping bound's scale, n smallest normals, below which B
-    # rounds by a fixed step
-    zeros, floor = (a, np.conj(a), 1.0 - np.abs(a) ** 2, gamma), n * np.finfo(float).tiny
+    # per-run constants: `_product_terms`' zeros (t complex, as its product with r would cast
+    # it in every sweep), and the bound's floor, n smallest normals, where B rounds by a fixed step
+    zeros, floor = (a, np.conj(a), (1.0 - np.abs(a) ** 2).astype(complex), gamma), n * _TINY
 
-    def terms(w, rows, abs_c):
-        """(B, B', Q'/Q, rounding bound of B - c) at the points w of the given rows, with |c| = abs_c."""
+    def newton(w, rows, last=False):
+        """(f/f', |f|, rounding bound of f) for f = B - c at the points w of the given rows, from
+        one `_product_terms` pass; with `last`, the `_links` radii bound/|f'| (0 where not finite)."""
         val, der, qlog = _product_terms(w, *zeros, rows)
-        scale = n * np.abs(val) + abs_c + np.abs(w) * np.abs(der)
-        return val, der, qlog, 2.0 * _EPS * np.maximum(scale, floor)
-
-    def newton(w, rows):
-        val, der, qlog, noise = terms(w, rows, absc[rows])
+        noise = 2.0 * _EPS * np.maximum(n * np.abs(val) + absc[rows] + np.abs(w) * np.abs(der), floor)
+        if last:
+            radius = noise / np.abs(der)
+            return np.where(np.isfinite(radius), radius, 0.0)
         f = val - c[rows]
         return f / (der + f * qlog), np.abs(f), noise
 
     w = _aberth(_fiber_starts(a, gamma, c), newton, False, names)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, der, _, noise = terms(w, np.arange(len(w)).repeat(n), absc[:, None])
-    radius = _radius(noise, der)
+        radius = newton(w, np.arange(len(w))[:, None].repeat(n, axis=1), True)
     labels = _links(w, radius)
     for row in (labels != np.arange(n)).any(axis=1).nonzero()[0]:
         own = (zeros, distinct) if a.ndim == 1 else ([x[row] for x in zeros], distinct[row])
@@ -132,79 +118,75 @@ def _product_terms(w, a, ac, t, gamma, rows=0):
     """(B, B', Q'/Q) at the points w, arrays of w's shape, for
     B = gamma prod_k b_k, b_k = (a_k - w)/(1 - conj(a_k) w), over the zeros a
     with repeats, and Q = prod_k (1 - conj(a_k) w); ac = conj(a) and
-    t = 1 - |a|^2, computed once per run.  a, ac, t and gamma are one
-    product's, or a row per target, with rows the target of each point (one
-    index for all).
+    t = 1 - |a|^2 are computed once per run.  The zeros are one product's, or
+    a row per target with rows the target of each point (`_by_rows`).
 
-    One pass over (points x zeros) blocks of at most _BLOCK elements, with
-    two complex divisions per element: with r_k = 1/(1 - conj(a_k) w) and
-    e_k = a_k - w, B = gamma prod_k e_k r_k, B' = B S with
-    S = B'/B = -sum_k (1-|a_k|^2) r_k/e_k, and Q'/Q = -sum_k conj(a_k) r_k.
-    Where B S is not finite (w on a zero, or a factor underflows), B' is the
-    product rule at the vanishing factor, b_k' = -(1-|a_k|^2) r_k^2 times
-    the other factors, which is exact there.  Those steps divide by zero or
-    overflow; the caller silences the warnings (`_aberth` does for its
-    sweeps).  With a row per target, each block gathers its points' rows.
+    One pass over blocks of at most _BLOCK (points x zeros) entries, two
+    complex divisions each: with r_k = 1/(1 - conj(a_k) w) and e_k = a_k - w,
+    B = gamma prod_k e_k r_k, B' = B S with S = -sum_k (1-|a_k|^2) r_k/e_k,
+    and Q'/Q = -sum_k conj(a_k) r_k.  Where B S is not finite (w on a zero,
+    or a factor underflows), B' is the product rule at the vanishing factor,
+    b_k' = -(1-|a_k|^2) r_k^2 times the other factors, exact there.  These
+    steps divide by zero or overflow; the caller silences the warnings.
     """
-    zeros = a, ac, t, gamma
-    if a.ndim == 2 and np.ndim(rows) == 0:
-        zeros = [x[rows] for x in zeros]
-    flat, step = w.reshape(-1), max(1, _BLOCK // a.shape[-1])
-    if flat.size <= step and zeros[0].ndim == 1:
-        return tuple(x.reshape(w.shape) for x in _product_block(flat[:, None], *zeros))
-    val, der, qlog = (np.empty(flat.shape, dtype=complex) for _ in range(3))
-    rows = np.reshape(rows, -1)
-    for i in range(0, flat.size, step):
-        own = zeros if zeros[0].ndim == 1 else [x[rows[i:i + step]] for x in zeros]
-        val[i:i + step], der[i:i + step], qlog[i:i + step] = _product_block(flat[i:i + step, None], *own)
-    return val.reshape(w.shape), der.reshape(w.shape), qlog.reshape(w.shape)
+    out = _by_rows(_product_block, w.reshape(-1), (a, ac, t, gamma), rows, _BLOCK)
+    return out if w.ndim == 1 else tuple(x.reshape(w.shape) for x in out)
 
 
-def _product_block(x, a, ac, t, gamma):
-    """`_product_terms` at the (points x 1) array x, as one block, with one
+def _by_rows(kernel, z, zeros, rows, entries):
+    """kernel(points, *zeros) on blocks of at most `entries` (points x zeros)
+    entries of the 1-D points z (`_blocked`), with one product's zeros, or a
+    row per product gathered per block, rows the row of each point (or one for all)."""
+    if zeros[0].ndim == 2:
+        zeros, rows = ([x[rows] for x in zeros], None) if np.ndim(rows) == 0 else (zeros, np.reshape(rows, -1))
+    return _blocked(z.size, max(1, entries // zeros[0].shape[-1]), lambda i, j: kernel(
+        z[i:j], *(zeros if zeros[0].ndim == 1 else [x[rows[i:j]] for x in zeros])))
+
+
+def _product_block(w, a, ac, t, gamma):
+    """`_product_terms` at the 1-D points w, as one block, with one
     product's zeros or a row per point; a call per block frees its
     temporaries before the next block makes its own."""
     # three (points x zeros) temporaries, reused in place
+    x = w[:, None]
     r = np.multiply(ac, x)
     r = np.divide(1.0, np.subtract(1.0, r, out=r), out=r)
     e = np.subtract(a, x)
     f = np.multiply(e, r)
-    val = gamma * np.prod(f, axis=1)
-    qlog = -np.multiply(ac, r, out=f).sum(axis=1)
-    der = -val * np.divide(np.multiply(t, r, out=r), e, out=e).sum(axis=1)
+    # the ufuncs' own reductions: np.prod and .sum call these, with more overhead
+    val = gamma * np.multiply.reduce(f, axis=1)
+    qlog = -np.add.reduce(np.multiply(ac, r, out=f), axis=1)
+    der = -val * np.add.reduce(np.divide(np.multiply(t, r, out=r), e, out=e), axis=1)
     bad = ~np.isfinite(der)
-    if bad.any():
+    if np.count_nonzero(bad):  # .any() takes longer
         # b_k' at the factor nearest 0 times the other factors
         if a.ndim == 2:
             a, ac, t, gamma = a[bad], ac[bad], t[bad], gamma[bad]
         r = 1.0 / (1.0 - ac * x[bad])
         f = (a - x[bad]) * r
         rows, k = np.arange(len(f)), np.abs(f).argmin(axis=1)
-        f[rows, k] = -np.broadcast_to(t, f.shape)[rows, k] * r[rows, k] ** 2
-        der[bad] = gamma * np.prod(f, axis=1)
+        f[rows, k] = -np.broadcast_to(t.real, f.shape)[rows, k] * r[rows, k] ** 2
+        der[bad] = gamma * np.multiply.reduce(f, axis=1)
     return val, der, qlog
 
 
 def _aberth(z, newton, mirrored: bool, names, count=None) -> np.ndarray:
     """Simultaneous Aberth iteration for the roots of f from the (rows x n)
-    starts z.
+    starts z, each row a root set of its own that couples only within itself.
 
-    Each row is a root set of its own (one product or one fiber target) and
-    couples only within itself.  Row r iterates its first count[r] roots
-    (all n without count); the others are fixed: never live, they enter the
-    coupling as they stand.  Each sweep calls newton(z, rows) on the
-    live roots z of all rows, flattened, which returns (f/f', |f|, rounding
-    bound of f).  A root stops, after taking that sweep's correction, once
-    |f| is within its rounding bound, and stays in the coupling.  In the
-    sweep in which a row's live roots are first down to one pair, that pair
-    is offered `_two_root_step` in place of its Aberth corrections, unless
-    the row never iterated more than a pair.  After _MAX_SWEEPS sweeps
-    raises NonConvergenceError, naming each row r with a root still moving
-    as noun labels[r], names = (noun, labels).  With `mirrored` the roots of
-    f are the iterates together with their reflections 1/conj(z): those
-    enter the coupling without being iterated, and an iterate that leaves
-    the disc is replaced by its reflection.  The coupling (`_pull`) then
-    takes one division per (root x row) entry.
+    Row r iterates its first count[r] roots (all n without count); the
+    others are fixed, and enter the coupling as they stand.  Each sweep
+    makes one newton(z, rows) call on the live roots z of all rows,
+    flattened, for (f/f', |f|, rounding bound of f).  A root stops, after
+    taking that sweep's correction, once |f| is within its bound, and stays
+    in the coupling.  In the sweep in which a row's live roots are first
+    down to one pair, that pair is offered `_two_root_step`, unless the row
+    never iterated more than a pair.  After _MAX_SWEEPS sweeps raises
+    NonConvergenceError, naming each row r still moving as noun labels[r],
+    names = (noun, labels).  With `mirrored` the roots of f are the iterates
+    and their reflections 1/conj(z), which enter the coupling (`_pull`, one
+    division per entry) without being iterated; an iterate that leaves the
+    disc is replaced by its reflection.
     """
     z = np.array(z, dtype=complex)
     flat, n = z.reshape(-1), z.shape[1]
@@ -241,10 +223,12 @@ def _aberth(z, newton, mirrored: bool, names, count=None) -> np.ndarray:
             new = np.where(np.isfinite(corr), zl - corr, zl)
             if pairs:
                 _two_root_step(pairs, zl, step, pull, corr, done, new)
-            flat[live] = new
             if mirrored:
-                out = np.abs(flat) > 1.0
-                flat[out] = 1.0 / np.conj(flat[out])
+                # only live roots moved; the others are inside already
+                out = np.abs(new) > 1.0
+                if np.count_nonzero(out):
+                    new[out] = 1.0 / np.conj(new[out])
+            flat[live] = new
             live = live[~done]
             if live.size == 0:
                 return z
@@ -258,22 +242,21 @@ def _pull(z, zl, rows, cols, mirrored: bool) -> np.ndarray:
     (rows, cols) of the roots z.  With `mirrored` the reflection's term joins
     each as one fraction, (2wz - 1 - |p|^2)/((z - p)(wz - 1)), w = conj(p),
     numerator (wz - 1) + w (z - p); a root's own column is w/(wz - 1) alone."""
-    pull, chunk = np.empty(zl.size, dtype=complex), max(1, _PASS_BLOCK // z.shape[1])
-    for i in range(0, zl.size, chunk):
-        zb, own = zl[i:i + chunk, None], (np.arange(len(cols[i:i + chunk])), cols[i:i + chunk])
-        peers = z[rows] if len(z) == 1 else z[rows[i:i + chunk]]
+    def block(i, j):
+        zb, own = zl[i:j, None], (np.arange(j - i), cols[i:j])
+        peers = z[rows] if len(z) == 1 else z[rows[i:j]]
         diff = zb - peers
-        if mirrored:
-            w = np.conj(peers)
-            diff[own] = 1.0
-            den = w * zb - 1.0
-            num = w * diff + den
-            num[own] = np.conj(zb[:, 0])
-            pull[i:i + chunk] = np.sum(np.divide(num, np.multiply(den, diff, out=den), out=num), axis=1)
-        else:
+        if not mirrored:
             diff[own] = np.inf
-            pull[i:i + chunk] = np.sum(1.0 / diff, axis=1)
-    return pull
+            return np.add.reduce(1.0 / diff, axis=1)
+        w = np.conj(peers)
+        diff[own] = 1.0
+        den = w * zb - 1.0
+        num = w * diff + den
+        num[own] = np.conj(zb[:, 0])
+        return np.add.reduce(np.divide(num, np.multiply(den, diff, out=den), out=num), axis=1)
+
+    return _blocked(zl.size, max(1, _PASS_BLOCK // z.shape[1]), block)
 
 
 def _two_root_step(pairs, z, step, pull, corr, done, new) -> None:
@@ -300,16 +283,17 @@ def _two_root_step(pairs, z, step, pull, corr, done, new) -> None:
     det = a[0] * y[1] - a[1] * y[0]
     s, p = (b[0] * y[1] - b[1] * y[0]) / det, (a[0] * b[1] - a[1] * b[0]) / det
     root = np.sqrt(s * s - 4.0 * p)
-    root = np.where(np.abs(s + root - 2.0 * x[0]) <= np.abs(s - root - 2.0 * x[0]), root, -root)
-    moved = mid + 0.5 * (s + np.stack([root, -root]))
-    ok = (np.abs(moved - mid) <= d).all(axis=0)  # False where not finite
+    signs, twice = np.array([root, -root]), 2.0 * x[0]
+    moved = mid + 0.5 * (s + np.where(np.abs(s + root - twice) <= np.abs(s - root - twice), signs, signs[::-1]))
+    ok = np.logical_and.reduce(np.abs(moved - mid) <= d, axis=0)  # False where not finite
     new[ij[:, ok]] = moved[:, ok]
 
 
 def _secular_zeros(u, m) -> tuple:
     """(u, conj(u), m (1-|u|^2)), the distinct zeros u of multiplicities m
-    as `_secular` takes them, computed once per run."""
-    return u, np.conj(u), m * (1.0 - np.abs(u) ** 2)
+    as `_secular` takes them, computed once per run; the weights are complex,
+    as their products with complex entries take them anyway."""
+    return u, np.conj(u), (m * (1.0 - np.abs(u) ** 2)).astype(complex)
 
 
 def _secular(z, zeros, rows=0):
@@ -323,18 +307,10 @@ def _secular(z, zeros, rows=0):
     conj(u_k)/q_k - 1/d_k = (conj(u_k) d_k - q_k) inv_k, whose numerator is
     at least (1-|u_k|)^2 in modulus.  The bound, 4 eps (sum_k |T_k| + |z|
     sum_k |T_k'|), covers a few u of rounding per summand and that of z; the
-    error against a 40-digit S stayed within 0.27 of it (README).  Blocks of
-    _PASS_BLOCK entries, each gathering its points' rows of zeros, change
-    no bit: rows are independent.
+    error against a 40-digit S stayed within 0.27 of it (README).  Blocks
+    (`_by_rows`) change no bit: rows are independent.
     """
-    if zeros[0].ndim == 2 and not isinstance(rows, np.ndarray):
-        zeros = [x[rows] for x in zeros]
-    step = max(1, _PASS_BLOCK // zeros[0].shape[-1])
-    if z.size <= step:
-        return _secular_block(z, *(zeros if zeros[0].ndim == 1 else [x[rows] for x in zeros]))
-    parts = [_secular_block(z[i:i + step], *(zeros if zeros[0].ndim == 1 else [x[rows[i:i + step]] for x in zeros]))
-             for i in range(0, z.size, step)]
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    return _by_rows(_secular_block, z, zeros, rows, _PASS_BLOCK)
 
 
 def _secular_block(z, u, uc, weight):
@@ -348,10 +324,10 @@ def _secular_block(z, u, uc, weight):
     dt = np.multiply(uc, d, out=d)
     dt -= q
     dt *= inv
-    logs = dt.sum(axis=1)
+    logs = np.add.reduce(dt, axis=1)
     dt *= t
-    noise = 4.0 * _EPS * (np.abs(t).sum(axis=1) + np.abs(z) * np.abs(dt).sum(axis=1))
-    return t.sum(axis=1), dt.sum(axis=1), noise, logs
+    noise = 4.0 * _EPS * (np.add.reduce(np.abs(t), axis=1) + np.abs(z) * np.add.reduce(np.abs(dt), axis=1))
+    return np.add.reduce(t, axis=1), np.add.reduce(dt, axis=1), noise, logs
 
 
 def _critical_newton(z, zeros, rows=0):
@@ -367,9 +343,25 @@ def _critical_newton(z, zeros, rows=0):
 
 def _next_to(points: np.ndarray, n) -> np.ndarray:
     """Starts 1e-3 off the given points, the k-th along the last axis at the
-    angle 2 pi k/n (n broadcast against the other axes), so that coincident
-    or nearly coincident points give distinct starts."""
+    angle 2 pi k/n (n broadcast against the other axes; an int n, for n
+    points, takes the kept offsets), so that close points start apart."""
+    if isinstance(n, int):
+        return points + _roots_of_unity(n)[0]
     return points + 1e-3 * np.exp(2j * np.pi * np.arange(points.shape[-1]) / n)
+
+
+@lru_cache(maxsize=256)
+def _roots_of_unity(n) -> tuple:
+    """Read-only constants of n roots, kept per n: `_next_to`'s offsets, and
+    `_circle_angles`' 2n + 2 sample angles theta and 2 pi, exp(i theta) and
+    its conjugate at the samples, and the offsets 2 pi j of the n levels."""
+    samples = 2 * n + 2
+    theta = 2.0 * np.pi * np.arange(samples + 1) / samples
+    e = np.exp(1j * theta[:samples])
+    out = 1e-3 * np.exp(2j * np.pi * np.arange(n) / n), theta, e, np.conj(e), 2.0 * np.pi * np.arange(n)
+    for x in out:
+        x.flags.writeable = False
+    return out
 
 
 def _critical_starts(u: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -380,13 +372,15 @@ def _critical_starts(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     (m_j u_k + m_k u_j)/(m_j + m_k), where S vanishes between close poles.
     A row's columns of multiplicity 0 (its padding, `critical_roots`) come
     last and start on their own zero, where `_aberth` holds them."""
-    # padding is nan here: it sorts after every zero in modulus and is near none
     real = m > 0
-    points = np.where(real, u, np.nan)
+    padded = not real.all()
+    # padding is nan here: it sorts after every zero in modulus and is near none
+    points = np.where(real, u, np.nan) if padded else u
     mods = np.abs(points)
     pick = np.arange(len(u))[:, None], np.argsort(mods, axis=1, kind="stable")
-    u, m, points, mods = u[pick], m[pick], points[pick], mods[pick]
-    starts = _next_to(points[:, 1:], real.sum(axis=1, keepdims=True) - 1)
+    u, m, mods = u[pick], m[pick], mods[pick]
+    points = points[pick] if padded else u
+    starts = _next_to(points[:, 1:], real.sum(axis=1, keepdims=True) - 1 if padded else u.shape[1] - 1)
     gap = np.full(starts.shape, 1e-3)
     # a zero within 1e-3 of an earlier one lies within 1e-3 in modulus of it
     # and of each zero between them in this order
@@ -398,7 +392,7 @@ def _critical_starts(u: np.ndarray, m: np.ndarray) -> np.ndarray:
         uk, mk, uj, mj = u[:, off:][near], m[:, off:][near], u[:, :-off][near], m[:, :-off][near]
         gap[:, off - 1:][near] = dist[near]
         starts[:, off - 1:][near] = (mj * uk + mk * uj) / (mj + mk)
-    return np.where(m[:, 1:] > 0, starts, u[:, 1:])
+    return np.where(m[:, 1:] > 0, starts, u[:, 1:]) if padded else starts
 
 
 def _fiber_starts(a: np.ndarray, gamma, c: np.ndarray) -> np.ndarray:
@@ -414,20 +408,20 @@ def _fiber_starts(a: np.ndarray, gamma, c: np.ndarray) -> np.ndarray:
     and arg B rises by at most 2 pi n + k dtheta over one sample interval of
     dtheta, so interpolated angles differ by at least about dtheta/n.
     """
-    n, rows = a.shape[-1], np.arange(len(c))[:, None]
-    order = np.argsort(np.abs(a), axis=-1, kind="stable")
+    n, rows = a.shape[-1], None if a.ndim == 1 else np.arange(len(c))[:, None]
+    order = np.abs(a).argsort(axis=-1, kind="stable")
     a = a[order] if a.ndim == 1 else a[rows, order]
     mods = np.abs(a)
     logs = np.log(np.where(mods > 0.0, mods, 1e-300))
     # above[..., j] = sum_{i >= j} log|a_i| (sorted), 0 at j = n
     above = np.zeros(a.shape[:-1] + (n + 1,))
-    above[..., :n] = np.cumsum(logs[..., ::-1], axis=-1)[..., ::-1]
+    above[..., :n] = np.add.accumulate(logs[..., ::-1], axis=-1)[..., ::-1]
     # the circle mean at r = |a_j| (sorted) is j log|a_j| + sum_{i >= j} log|a_i|
-    means = np.arange(n) * logs + above[..., :n]
+    j = np.arange(n)
+    means = j * logs + above[..., :n]
     log_c = np.log(np.abs(c))[:, None]
     # the first k sorted zeros of each target lie inside its circle
     k = (means < log_c).sum(axis=1, keepdims=True)
-    j = np.arange(n)
     r = np.exp(np.where(k > 0, (log_c - (above[k] if a.ndim == 1 else above[rows, k])) / np.maximum(k, 1), 0.0))
     angles = np.zeros((len(c), n))
     on = (k[:, 0] > 0).nonzero()[0]
@@ -459,31 +453,28 @@ def _circle_angles(a, gamma, c, k, r) -> np.ndarray:
     """
     n = a.shape[-1]
     samples = 2 * n + 2
-    theta = 2.0 * np.pi * np.arange(samples + 1) / samples
+    _, theta, e, ec, levels = _roots_of_unity(n)
     inside, angles = np.arange(n) < k, np.angle(a)
     phase = np.empty((len(c), samples + 1))
     # per row: k theta, pi per zero inside and arg a_k per zero outside
     phase[:, :samples] = k * theta[:samples] + np.where(inside, np.pi, angles).sum(axis=1, keepdims=True)
-    e = np.exp(1j * theta[:samples])
-    w, kw = (r * e).reshape(-1), np.repeat(k[:, 0], samples)
+    w, kw = (r * e).reshape(-1), k[:, 0].repeat(samples)
     # the unit factors: conj(w)/r per sample, -conj(a_k)/|a_k| per zero
-    inner, outer = np.tile(np.conj(e), len(c)), np.exp(1j * (np.pi - angles))
-    wc, sums, ab, ob = np.conj(w), np.empty(w.size), a, outer
-    step = max(1, _PASS_BLOCK // n)
-    for i in range(0, w.size, step):
-        if a.ndim == 2:
-            # each sample takes its target's row of zeros
-            row = np.arange(i, min(i + step, w.size)) // samples
-            ab, ob = a[row], outer[row]
-        v = np.subtract(w[i:i + step, None], ab)
-        v *= np.where(np.arange(n) < kw[i:i + step, None], inner[i:i + step, None], ob)
-        v *= np.subtract(1.0, ab * wc[i:i + step, None])
-        sums[i:i + step] = np.angle(v).sum(axis=1)
-    phase[:, :samples] += sums.reshape(len(c), samples)
+    inner, outer, wc = ec if len(c) == 1 else np.tile(ec, len(c)), np.exp(1j * (np.pi - angles)), np.conj(w)
+
+    def block(i, j):
+        # each sample takes its target's row of zeros
+        ab, ob = (a, outer) if a.ndim == 1 else (a[np.arange(i, j) // samples], outer[np.arange(i, j) // samples])
+        v = np.subtract(w[i:j, None], ab)
+        v *= np.where(np.arange(n) < kw[i:j, None], inner[i:j, None], ob)
+        v *= np.subtract(1.0, ab * wc[i:j, None])
+        return np.add.reduce(np.angle(v), axis=1)
+
+    phase[:, :samples] += _blocked(w.size, max(1, _PASS_BLOCK // n), block).reshape(len(c), samples)
     phase[:, samples] = phase[:, 0] + 2.0 * np.pi * k[:, 0]
     phase = np.maximum.accumulate(phase, axis=1)
     first = phase[:, :1] + np.mod(np.angle(c / gamma)[:, None] - phase[:, :1], 2.0 * np.pi)
-    return _interp_rows(first + 2.0 * np.pi * np.arange(n), phase, theta)
+    return _interp_rows(first + levels, phase, theta)
 
 
 def _interp_rows(x, xp, fp) -> np.ndarray:
@@ -510,20 +501,12 @@ def _interp_rows(x, xp, fp) -> np.ndarray:
     return np.where(inside, np.where(x0 == x, y0, inner), np.where(j < 0, y0, y1))
 
 
-def _radius(noise, d1) -> np.ndarray:
-    """noise/|f'| at converged roots of f, with noise the rounding bound of f
-    and d1 = f' there; 0 where that is not finite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = noise / np.abs(d1)
-    return np.where(np.isfinite(radius), radius, 0.0)
-
-
 def _links(z, radius) -> np.ndarray:
     """(rows x n) `components` labels of the converged roots z (rows x n) of
-    f that rounding cannot tell apart within a row, given their `_radius`.
+    f that rounding cannot tell apart within a row, given their radii.
 
-    A root z_i is uncertain by about its radius noise_i/|f'(z_i)|, the
-    first-order radius within which |f| stays below its rounding bound.
+    A root z_i is uncertain by about its radius noise_i/|f'(z_i)| (0 where
+    not finite), within which |f| stays below its rounding bound noise_i.
     Near an m-fold root q, f ~ c (z - q)^m, the parts that rounding splits
     it into stop where |f| meets that bound, so each lies within m
     noise/|f'| of q and its neighbours on that ring within 2 pi noise/|f'|.
@@ -532,22 +515,22 @@ def _links(z, radius) -> np.ndarray:
     root.  An entry of z that is nan links only itself.  Rows are linked in
     blocks of at most _BLOCK (roots x row) entries.
     """
-    labels, n = np.empty(z.shape, dtype=int), z.shape[1]
-    step, own = max(1, _BLOCK // n ** 2), np.arange(n)
-    for i in range(0, len(z), step):
-        zb, rb = z[i:i + step], radius[i:i + step]
+    n, own = z.shape[1], np.arange(z.shape[1])
+
+    def block(i, j):
+        zb, rb = z[i:j], radius[i:j]
         near = np.abs(zb[:, :, None] - zb[:, None, :]) <= 8.0 * (rb[:, :, None] + rb[:, None, :])
         near[:, own, own] = True
-        labels[i:i + step] = components(near)
-    return labels
+        return components(near)
+
+    return _blocked(len(z), max(1, _BLOCK // n ** 2), block)
 
 
-def _merge_critical(z, u, m) -> list:
+def _merge_critical(z, zeros, count=None) -> list:
     """(point, multiplicity) for the converged interior iterates z, one list
-    per row of the (rows x n) array z; the same rows of u and m hold the
-    distinct zeros and multiplicities, with a row's padding at multiplicity
-    0 (`critical_roots`): its own iterates are its first g - 1, g its
-    count of nonzero multiplicities; the rest are held on its padding.
+    per row of the (rows x n) array z, with the run's zeros as `_secular`
+    takes them.  Row r's own iterates are its first count[r] (all without
+    count), the rest held on its padding (`critical_roots`).
 
     The iterates of one group (`_links`) are one multiple point at their
     centroid, which rounding perturbs far less than the members.  A
@@ -557,23 +540,26 @@ def _merge_critical(z, u, m) -> list:
     arrays; the others, one at a time.
     """
     rows, n = z.shape
-    # a row's zeros after its first, up to its padding
-    own = m[:, 1:n + 1] > 0
-    zo = z[own]
+    own = None if count is None else np.arange(n) < count[:, None]
+    zo = z.reshape(-1) if own is None else z[own]
     # one row is indexed, not gathered, as in _aberth: a single product
     # rounds exactly as a solve of its own
-    _, ds, noise, _ = _secular(zo, _secular_zeros(u, m), 0 if rows == 1 else own.nonzero()[0])
+    index = 0 if rows == 1 else (np.arange(rows).repeat(n) if own is None else own.nonzero()[0])
+    _, ds, noise, _ = _secular(zo, zeros, index)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = noise / np.abs(ds)
-    # the `_radius` of each own iterate
-    radius = np.zeros(z.shape)
-    radius[own] = np.where(np.isfinite(err), err, 0.0)
-    labels = _links(np.where(own, z, np.nan), radius)
+    # the `_links` radius of each own iterate; padding is nan, linked to nothing
+    radius = np.where(np.isfinite(err), err, 0.0)
+    full = radius.reshape(z.shape) if own is None else np.zeros(z.shape)
+    if own is not None:
+        full[own] = radius
+    labels = _links(z if own is None else np.where(own, z, np.nan), full)
     # the test of a Python complex: abs() is the hypot of its parts
     snapped = np.where(np.hypot(zo.real, zo.imag) <= err, 0j, zo).tolist()
     zo, err, end = zo.tolist(), err.tolist(), 0
     found = []
-    for r, (grouped, size) in enumerate(zip((labels != np.arange(n)).any(axis=1).tolist(), own.sum(axis=1).tolist())):
+    sizes = [n] * rows if own is None else count.tolist()
+    for r, (grouped, size) in enumerate(zip((labels != np.arange(n)).any(axis=1).tolist(), sizes)):
         start, end = end, end + size
         if not grouped:
             points = snapped[start:end]
@@ -597,10 +583,9 @@ def _merge_critical(z, u, m) -> list:
 
 
 def _merge_fiber(w: np.ndarray, c: complex, labels, radius, zeros, distinct, tol: float, names) -> np.ndarray:
-    """One target's converged fiber iterates w, with multiple roots merged;
-    labels and radius hold their `_links` labels and `_radius`, zeros are
-    its product's as `_product_terms` takes them, and distinct = (u, m)
-    holds the distinct zeros and their multiplicities.
+    """One target's converged fiber iterates w, with multiple roots merged,
+    given their `_links` labels and radii, its product's zeros as
+    `_product_terms` takes them and distinct = (u, m) (`fiber_roots`).
 
     The iterates of one `_links` group are one multiple root.  A group of k
     iterates, each within 8 k radii of a repeated zero u_j of multiplicity at
@@ -627,7 +612,7 @@ def _merge_fiber(w: np.ndarray, c: complex, labels, radius, zeros, distinct, tol
             continue
         if k == 2:
             crit = _aberth(np.array([[loc]]), lambda z, rows: _critical_newton(z, secular), False, names)
-            (loc, _), = _merge_critical(crit, u[None], m[None])[0]
+            (loc, _), = _merge_critical(crit, secular)[0]
         elif abs(loc) <= max(abs(w[i] - loc) for i in idx):
             loc = 0j
         s, ds, _, _ = _secular(np.array([loc]), secular)

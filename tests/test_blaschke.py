@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import tracemalloc
 
@@ -1163,6 +1164,78 @@ class TestAberthKernels:
         want = np.array([np.interp(xr, pr, fp) for xr, pr in zip(x, xp)])
         assert same_bits(polyroots._interp_rows(x, xp, fp), want)
         assert same_bits(polyroots._interp_rows(x[:1], xp[:1], fp), want[:1])
+
+
+# One-product solves pinned bit for bit ("re,im" by repr, "re,im,multiplicity"
+# for critical points): the order-6 product of PCG64(7) at its critical value
+# nearest 0, where the fiber's double root is merged onto the critical point,
+# and 1e-10 off it, where the two points stay apart; and the order-8 product
+# of PCG64(11) whose zeros come in pairs 1e-9..1e-4 apart.
+GOLDEN_CRITICAL_VALUE = 0.050805517507040786 + 0.01346679847914249j
+GOLDEN_FIBER_AT_CRITICAL_VALUE = """\
+-0.5207859226203043,-0.325831406088605
+-0.36820426758529673,0.6187404035557607
+0.14162150518863892,-0.1165083994305506
+0.14162150518863892,-0.1165083994305506
+0.18446348403669097,0.6709116114968767
+0.524632375501925,-0.39105177410708397
+"""
+GOLDEN_FIBER_NEAR_CRITICAL_VALUE = """\
+-0.5207859228100489,-0.32583140616637324
+-0.36820426762598,0.6187404034355621
+0.1416205752961194,-0.11648738391946399
+0.1416224352155871,-0.11652941481042535
+0.18446348392363174,0.6709116113929214
+0.5246323757142052,-0.39105177393259233
+"""
+GOLDEN_PAIRS_CRITICAL_POINTS = """\
+0.09870431770657934,0.10481048576226759,1
+0.14630646618240312,0.1710789331252038,1
+0.182329666591676,0.24419485932090412,1
+0.43751685196714557,-0.13793916887815513,1
+0.47788998936016625,0.23300930466265704,1
+0.5405362228280471,-0.26181750269897597,1
+0.5957442314422209,0.28226125509063554,1
+1.3708423301105057,0.6494996614430335,1
+1.4984600673549833,-0.7258034820985995,1
+1.6906155843077477,0.824309298210705,1
+1.963167720390031,2.6292784617304283,1
+2.0789763516157036,-0.6554542271225338,1
+2.8872334725189854,3.3760970041208904,1
+4.761933813952701,5.056522427841894,1
+"""
+
+
+class TestGoldenOneProductSolves:
+    @staticmethod
+    def lines(points):
+        return "".join(f"{p.real!r},{p.imag!r}\n" for p in points)
+
+    @staticmethod
+    def critical_value_product():
+        return random_product(np.random.default_rng(np.random.PCG64(7)), 6, 0.9)
+
+    def test_fiber_at_a_critical_value(self):
+        B = self.critical_value_product()
+        p = min((q for q, _ in B.critical_points().interior), key=abs)
+        assert complex(B.eval(p)) == GOLDEN_CRITICAL_VALUE
+        fiber = B.fiber_solve(GOLDEN_CRITICAL_VALUE)
+        assert self.lines(fiber) == GOLDEN_FIBER_AT_CRITICAL_VALUE
+        # the merged double root sits within rounding of the critical point
+        assert fiber[2] == fiber[3] and abs(fiber[2] - p) <= 1e-15
+
+    def test_fiber_near_a_critical_value(self):
+        fiber = self.critical_value_product().fiber_solve(GOLDEN_CRITICAL_VALUE + 1e-10 * cmath.exp(0.3j))
+        assert self.lines(fiber) == GOLDEN_FIBER_NEAR_CRITICAL_VALUE
+
+    def test_critical_points_of_zero_pairs(self):
+        rng = np.random.default_rng(np.random.PCG64(11))
+        base = 0.85 * np.sqrt(rng.uniform(size=4)) * np.exp(2j * np.pi * rng.uniform(size=4))
+        gaps = 10.0 ** rng.uniform(-9, -4, size=4) * np.exp(2j * np.pi * rng.uniform(size=4))
+        B = FiniteBlaschkeProduct(1.0, tuple(complex(z) for z in np.concatenate([base, base + gaps])))
+        cs = B.critical_points()
+        got = "".join(f"{q.real!r},{q.imag!r},{m}\n" for q, m in cs.interior + cs.exterior)
+        assert got == GOLDEN_PAIRS_CRITICAL_POINTS
 
 
 class TestFiberSolve:

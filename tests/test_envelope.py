@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles as O
 from blaschkelab import (CircleStraddleError, ContourThroughFiberError, FiniteBlaschkeProduct, NonConvergenceError,
-                         critical_sets, polyroots, valence)
+                         critical_sets, fiber_sets, polyroots, valence)
 
 # the checks' tolerances, as in bench/workloads.py
 CRIT_STEP = 1e-6       # Newton distance of a critical point to a zero of B', x max(1, |p|)
@@ -343,12 +343,12 @@ def test_critical_point_between_a_close_pair_stays_simple():
 
 
 @st.composite
-def products(draw, max_order=128):
-    """A product inside the envelope: orders 2-128 (or up to max_order),
-    zeros up to radius 0.99, spread out, in pairs 1e-9..1e-4 apart, or
-    repeated up to multiplicity 8 with or without a repeated zero at the
-    origin."""
-    order = draw(st.integers(2, max_order))
+def products(draw, max_order=128, min_order=2):
+    """A product inside the envelope: orders 2-128 (or min_order to
+    max_order), zeros up to radius 0.99, spread out, in pairs 1e-9..1e-4
+    apart, or repeated up to multiplicity 8 with or without a repeated zero
+    at the origin."""
+    order = draw(st.integers(min_order, max_order))
     radius = draw(st.floats(0.05, 0.99))
     layout = draw(st.sampled_from(("spread", "pairs", "repeated")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -442,6 +442,63 @@ def test_batched_fibers_in_envelope(B, draws):
     assert len(fibers) == len(targets)
     for c, fiber in zip(targets, fibers):
         assert fiber_error(B, c, fiber) is None
+
+
+@st.composite
+def fiber_batches(draw):
+    """2-6 (product, target) pairs: envelope products of orders 1-16, most
+    of one order so that they share an Aberth run, each with a target
+    anywhere up to |c| = 0.99 or at and 1e-12..1e-8 from the critical value
+    of its critical point nearest the origin (anywhere where that raises)."""
+    shared, batch = draw(st.integers(1, 16)), []
+    for _ in range(draw(st.integers(2, 6))):
+        order = draw(st.one_of(st.just(shared), st.just(shared), st.integers(1, 16)))
+        B = draw(products(max_order=order, min_order=order))
+        c = draw(st.integers(0, 99)) / 100 * np.exp(2j * np.pi * draw(st.floats(0.0, 1.0)))
+        if order > 1 and draw(st.booleans()):
+            try:
+                p = min((p for p, _ in B.critical_points().interior), key=abs)
+                c = complex(O.blaschke(B.zeros, B.gamma, np.array([p]))[0]) + draw(
+                    st.sampled_from((0.0, 1e-12, 1e-10, 1e-8))) * np.exp(2j * np.pi * draw(st.floats(0.0, 1.0)))
+            except TYPED:
+                pass
+        batch.append((B, complex(c)))
+    return batch
+
+
+def greedy_gap(own, row):
+    """The largest distance from a point of own to the nearest point of row
+    not yet taken, in units of eps max(1, |w|)."""
+    left, worst = list(row), 0.0
+    for w in own:
+        i = int(np.argmin([abs(w - v) for v in left]))
+        worst = max(worst, abs(w - left.pop(i)) / (np.finfo(float).eps * max(1.0, abs(w))))
+    return worst
+
+
+@settings(max_examples=30, deadline=None)
+@given(fiber_batches())
+def test_fiber_sets_rows_are_their_products_own_fibers(batch):
+    """Batch invariance: each row of one fiber_sets call is its product's own
+    fiber_solve within 4 eps max(1, |w|) a point, and the batch raises only
+    where one of its products raises alone.  Over about 10,000 rows drawn
+    the same way by a plain numpy generator, the largest gap was 1.58 eps
+    max(1, |w|), all at order 1 (one product's solve there works on
+    one-element arrays, which numpy rounds as scalars); every other row
+    matched bit for bit, and nothing raised."""
+    alone = []
+    for B, c in batch:
+        try:
+            alone.append(B.fiber_solve(c))
+        except TYPED:
+            alone.append(None)
+    try:
+        rows = fiber_sets(*zip(*batch))
+    except TYPED:
+        assert None in alone
+        return
+    for own, row in zip(alone, rows):
+        assert own is None or greedy_gap(own, row) <= 4.0
 
 
 @settings(max_examples=40, deadline=None)
